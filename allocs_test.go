@@ -121,3 +121,29 @@ func TestMultiBFSVisitorWarmEngineAllocs(t *testing.T) {
 		t.Errorf("warm-engine MultiBFSVisitor: %.0f allocs/op, want <= 32", warm)
 	}
 }
+
+func TestClosenessWarmEngineAllocs(t *testing.T) {
+	// The level-count path: the kernel tallies discoveries in the shell's
+	// recycled per-worker counters, so a warm Closeness allocates only its
+	// result and per-source total slices plus the traversal's constant
+	// overhead — the same count on a graph 16x larger.
+	allocs := func(scale int) float64 {
+		g := GenerateKronecker(scale, 8, 1)
+		sources := g.RandomSources(512, 7)
+		eng := NewEngine(Options{Workers: 2})
+		defer eng.Close()
+		opt := Options{Workers: 2, BatchWords: 8, Engine: eng}
+		g.Closeness(sources, opt)
+		return testing.AllocsPerRun(10, func() { g.Closeness(sources, opt) })
+	}
+	small, large := allocs(10), allocs(14)
+	// Measured 8 allocs/op at either size: the kernel's result and its
+	// sources copy, the sink closure and the totals it captures, the three
+	// total slices and the output.
+	if small > 16 || large > 16 {
+		t.Errorf("warm-engine Closeness: %.0f allocs/op (scale 10), %.0f (scale 14), want <= 16", small, large)
+	}
+	if large > small+2 {
+		t.Errorf("warm-engine Closeness allocations grow with n: %.0f allocs/op at scale 10, %.0f at scale 14", small, large)
+	}
+}

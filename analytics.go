@@ -3,86 +3,59 @@ package msbfs
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
 // This file provides the BFS-based analytics that motivate multi-source
 // traversal in the paper's introduction: closeness centrality (all-pairs
 // shortest paths), hop-limited neighborhood sizes, reachability, and
-// eccentricity/diameter estimation. All of them are thin consumers of
-// MultiBFS/MultiBFSVisitor and demonstrate the intended use of the API.
+// eccentricity/diameter estimation. Closeness, neighborhood sizes and
+// eccentricities need only how many vertices each source discovers per
+// depth, which the MS-PBFS kernel counts itself (levelTotals); the
+// analytics that need vertex identity consume MultiBFSVisitor.
 
 // Closeness computes the closeness centrality of the given vertices:
 // (reached-1) / sum-of-distances, normalized by the fraction of the graph
 // reached (the Wasserman-Faust formula for disconnected graphs). Vertices
 // that reach nothing get 0.
 //
-// One MS-PBFS batch computes up to 64*BatchWords centralities concurrently;
-// the distance sums are accumulated per worker during traversal, so memory
-// stays O(workers x sources), not O(sources x vertices).
+// One MS-PBFS batch computes up to 64*BatchWords centralities
+// concurrently. The kernel counts each source's discoveries per depth in
+// per-worker bit-sliced counters, reduced once per iteration, so the
+// scratch is O(workers x batch width) counters and the result
+// O(sources), never O(sources x vertices).
 func (g *Graph) Closeness(vertices []int, opt Options) []float64 {
 	n := g.NumVertices()
 	if len(vertices) == 0 || n == 0 {
 		return nil
 	}
-	opt = opt.Normalize()
-	workers := opt.Workers
-	// Per-worker accumulation to keep the concurrent visitor race free.
-	type acc struct {
-		sum     []int64
-		reached []int64
-	}
-	accs := make([]acc, workers)
-	for w := range accs {
-		accs[w] = acc{sum: make([]int64, len(vertices)), reached: make([]int64, len(vertices))}
-	}
-	opt.RecordLevels = false
-	g.MultiBFSVisitor(vertices, opt, func(workerID, sourceIdx, _ int, depth int) {
-		a := &accs[workerID]
-		a.sum[sourceIdx] += int64(depth)
-		a.reached[sourceIdx]++
-	})
-
-	out := make([]float64, len(vertices))
-	for i := range vertices {
-		var sum, reached int64
-		for w := range accs {
-			sum += accs[w].sum[i]
-			reached += accs[w].reached[i]
-		}
-		// reached includes the source itself (depth 0).
-		if reached <= 1 || sum == 0 {
-			out[i] = 0
-			continue
-		}
-		r := float64(reached - 1)
-		out[i] = r / float64(sum) * r / float64(n-1)
-	}
-	return out
+	return g.levelTotals(vertices, opt).Closeness(n)
 }
 
 // NeighborhoodSizes returns, for each source, the number of vertices within
 // maxHops hops (including the source). This is the neighborhood enumeration
-// workload from the paper's introduction.
+// workload from the paper's introduction. A radius of 0 or less counts the
+// source alone.
 func (g *Graph) NeighborhoodSizes(sources []int, maxHops int, opt Options) []int64 {
-	opt = opt.Normalize()
-	workers := opt.Workers
-	counts := make([][]int64, workers)
-	for w := range counts {
-		counts[w] = make([]int64, len(sources))
-	}
-	opt.RecordLevels = false
-	opt.MaxDepth = maxHops // prune the traversal instead of filtering visits
-	g.MultiBFSVisitor(sources, opt, func(workerID, sourceIdx, _, _ int) {
-		counts[workerID][sourceIdx]++
-	})
-	out := make([]int64, len(sources))
-	for i := range sources {
-		for w := range counts {
-			out[i] += counts[w][i]
+	if maxHops <= 0 {
+		// MaxDepth 0 would mean an unlimited traversal; radius 0 needs none.
+		out := make([]int64, len(sources))
+		for i, s := range sources {
+			g.checkSource(s)
+			out[i] = 1
 		}
+		return out
 	}
-	return out
+	opt.MaxDepth = maxHops // prune the traversal instead of filtering visits
+	return g.levelTotals(sources, opt).Reached
+}
+
+// levelTotals runs one MS-PBFS over sources and returns each source's
+// per-level discovery counts aggregated into distance sums, reach counts
+// and eccentricities.
+func (g *Graph) levelTotals(sources []int, opt Options) core.LevelTotals {
+	return core.MSPBFSLevelTotals(g.g, sources, g.multiOptions(sources, opt))
 }
 
 // Reachable reports, for each source, whether target is reachable from it.
@@ -113,27 +86,7 @@ func (g *Graph) Reachable(sources []int, target int, opt Options) []bool {
 // Eccentricities returns, per source, the greatest BFS depth reached — the
 // vertex eccentricity restricted to its connected component.
 func (g *Graph) Eccentricities(sources []int, opt Options) []int32 {
-	opt = opt.Normalize()
-	workers := opt.Workers
-	maxd := make([][]int32, workers)
-	for w := range maxd {
-		maxd[w] = make([]int32, len(sources))
-	}
-	opt.RecordLevels = false
-	g.MultiBFSVisitor(sources, opt, func(workerID, sourceIdx, _ int, depth int) {
-		if int32(depth) > maxd[workerID][sourceIdx] {
-			maxd[workerID][sourceIdx] = int32(depth)
-		}
-	})
-	out := make([]int32, len(sources))
-	for i := range sources {
-		for w := range maxd {
-			if maxd[w][i] > out[i] {
-				out[i] = maxd[w][i]
-			}
-		}
-	}
-	return out
+	return g.levelTotals(sources, opt).Ecc
 }
 
 // EstimateDiameter lower-bounds the graph diameter by running BFS from

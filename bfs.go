@@ -163,11 +163,9 @@ func autoBatchWords(numSources int) int {
 	return words
 }
 
-// MultiBFS runs the parallel multi-source MS-PBFS algorithm. Sources are
-// processed in batches of up to 64*BatchWords concurrent traversals that
-// share common work; all workers cooperate on every batch. When BatchWords
-// is zero the width is sized to fit all sources in one batch (up to 512).
-func (g *Graph) MultiBFS(sources []int, opt Options) *MultiResult {
+// multiOptions checks the sources and resolves opt for one MS-PBFS run
+// over them: normalized, with BatchWords auto-sized when zero.
+func (g *Graph) multiOptions(sources []int, opt Options) core.Options {
 	for _, s := range sources {
 		g.checkSource(s)
 	}
@@ -175,7 +173,15 @@ func (g *Graph) MultiBFS(sources []int, opt Options) *MultiResult {
 	if opt.BatchWords <= 0 {
 		opt.BatchWords = autoBatchWords(len(sources))
 	}
-	r := core.MSPBFS(g.g, sources, opt.toCore())
+	return opt.toCore()
+}
+
+// MultiBFS runs the parallel multi-source MS-PBFS algorithm. Sources are
+// processed in batches of up to 64*BatchWords concurrent traversals that
+// share common work; all workers cooperate on every batch. When BatchWords
+// is zero the width is sized to fit all sources in one batch (up to 512).
+func (g *Graph) MultiBFS(sources []int, opt Options) *MultiResult {
+	r := core.MSPBFS(g.g, sources, g.multiOptions(sources, opt))
 	return &MultiResult{
 		Sources:       r.Sources,
 		Levels:        r.Levels,
@@ -189,17 +195,12 @@ func (g *Graph) MultiBFS(sources []int, opt Options) *MultiResult {
 // depth) discovery to visit instead of materializing level arrays; the
 // callback runs concurrently on worker goroutines and must only touch
 // workerID-partitioned state. This is the memory-frugal path for
-// whole-graph analytics such as closeness centrality.
+// analytics that need vertex identity, such as reachability and distance
+// matrices; closeness and neighborhood sizes use the kernel's per-level
+// counts instead.
 func (g *Graph) MultiBFSVisitor(sources []int, opt Options,
 	visit func(workerID, sourceIdx, vertex, depth int)) *MultiResult {
-	for _, s := range sources {
-		g.checkSource(s)
-	}
-	opt = opt.Normalize()
-	if opt.BatchWords <= 0 {
-		opt.BatchWords = autoBatchWords(len(sources))
-	}
-	c := opt.toCore()
+	c := g.multiOptions(sources, opt)
 	c.OnVisit = visit
 	r := core.MSPBFS(g.g, sources, c)
 	return &MultiResult{

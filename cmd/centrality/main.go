@@ -100,43 +100,11 @@ func load(path string, scale int, seed uint64) (*graph.Graph, error) {
 	return gen.Kronecker(p), nil
 }
 
-// computeCloseness accumulates distance sums per source through the
-// MS-PBFS visitor, batch after batch.
+// computeCloseness computes the vertices' closeness from the per-level
+// discovery counts of MS-PBFS, batch after batch.
 func computeCloseness(g *graph.Graph, vertices []int, workers, batchWords int) []float64 {
-	n := g.NumVertices()
-	type acc struct {
-		sum     []int64
-		reached []int64
-	}
-	accs := make([]acc, workers)
-	for w := range accs {
-		accs[w] = acc{sum: make([]int64, len(vertices)), reached: make([]int64, len(vertices))}
-	}
-	opt := core.Options{
-		Workers:    workers,
-		BatchWords: batchWords,
-		OnVisit: func(workerID, sourceIdx, _ int, depth int) {
-			a := &accs[workerID]
-			a.sum[sourceIdx] += int64(depth)
-			a.reached[sourceIdx]++
-		},
-	}
-	core.MSPBFS(g, vertices, opt)
-
-	out := make([]float64, len(vertices))
-	for i := range vertices {
-		var sum, reached int64
-		for w := range accs {
-			sum += accs[w].sum[i]
-			reached += accs[w].reached[i]
-		}
-		if reached <= 1 || sum == 0 {
-			continue
-		}
-		r := float64(reached - 1)
-		out[i] = r / float64(sum) * r / float64(n-1)
-	}
-	return out
+	opt := core.Options{Workers: workers, BatchWords: batchWords}
+	return core.MSPBFSLevelTotals(g, vertices, opt).Closeness(g.NumVertices())
 }
 
 // computeBetweenness runs Brandes over the sampled sources in parallel and

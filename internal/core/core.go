@@ -151,6 +151,16 @@ type Options struct {
 	// workerID-indexed buckets. sourceIdx is the index within the
 	// processed batch for multi-source runs and 0 for single-source runs.
 	OnVisit func(workerID, sourceIdx, vertex, depth int)
+	// OnLevel, when non-nil, receives MS-PBFS's per-level discovery
+	// counts: it is called once per (source, depth) with the number of
+	// vertices that source newly discovered at that depth, when that
+	// number is above 0 (each source counts itself at depth 0). Workers
+	// tally each discovered vertex's new bits into per-worker counters
+	// (one add per vertex, not one call per bit) and the coordinating
+	// goroutine reduces them at each iteration barrier, so OnLevel is
+	// never called concurrently. sourceIdx is as for OnVisit. Only MSPBFS
+	// honors it.
+	OnLevel func(sourceIdx, depth int, count int64)
 }
 
 func (o Options) workers() int {

@@ -33,3 +33,7 @@ func debugCheckBorrowedClean(kind string, population int) {}
 // debugCheckLevels is a no-op stub; the bfsdebug build compares a recorded
 // level array against the sequential reference BFS.
 func debugCheckLevels(g *graph.Graph, ov *graph.Overlay, source int, levels []int32, algo string) {}
+
+// debugCheckLevelCounts is a no-op stub; the bfsdebug build asserts that
+// one iteration's reported level counts sum to the kernel's update count.
+func debugCheckLevelCounts(counted, updated int64, algo string, depth int32) {}

@@ -102,3 +102,14 @@ func debugCheckLevels(g *graph.Graph, ov *graph.Overlay, source int, levels []in
 		}
 	}
 }
+
+// debugCheckLevelCounts validates one iteration's Options.OnLevel
+// reduction: the per-source counts reported at depth must sum to the
+// states the workers counted as newly set — a count lost in a flush or
+// double-added across workers shows up here.
+func debugCheckLevelCounts(counted, updated int64, algo string, depth int32) {
+	if counted != updated {
+		panic(fmt.Sprintf("bfsdebug: %s depth %d: level counts sum to %d but workers counted %d updates",
+			algo, depth, counted, updated))
+	}
+}

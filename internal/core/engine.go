@@ -484,7 +484,7 @@ func (e *Engine) checkoutMS(key msKey) *MSPBFSEngine {
 
 func (e *Engine) checkinMS(sh *MSPBFSEngine) {
 	// Drop references that would pin the caller's graph (and any OnVisit
-	// closure) in the arena; checkout re-binds them.
+	// or OnLevel closure) in the arena; checkout re-binds them.
 	sh.g = nil
 	sh.opt = Options{}
 	sh.pool = nil
@@ -506,6 +506,9 @@ func msShellBytes(sh *MSPBFSEngine) int64 {
 	}
 	for _, s := range sh.liveBits {
 		b += int64(cap(s)) * 8
+	}
+	for _, c := range sh.levelCounts {
+		b += int64(len(c.planes)+len(c.carry)+len(c.counts)) * 8
 	}
 	if sh.shadows != nil {
 		b += sh.shadows.MemoryBytes()

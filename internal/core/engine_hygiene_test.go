@@ -61,6 +61,15 @@ func poisonEngine(e *Engine) {
 				sh.frontDeg[w].v = 1 << 40
 				sh.unseenDeg[w].v = 1 << 40
 			}
+			for w := range sh.levelCounts {
+				c := &sh.levelCounts[w]
+				fillOnes(c.planes)
+				fillOnes(c.carry)
+				for i := range c.counts {
+					c.counts[i] = 1 << 40
+				}
+				c.adds = levelFlushAt - 1
+			}
 		}
 	}
 	for _, l := range e.sms {
@@ -210,4 +219,22 @@ func TestPoisonedLevelRowsScrubbed(t *testing.T) {
 		}
 	}
 	e.ReleaseLevels(res.Levels...)
+}
+
+// TestPoisonedLevelCountersScrubbed pins the per-level count scratch: a
+// recycled shell whose bit-sliced planes, flushed counts and add counter
+// were poisoned must still report exactly the reference counts (the
+// checkout scrub zeroes them; bfsdebug builds also assert it).
+func TestPoisonedLevelCountersScrubbed(t *testing.T) {
+	g := gen.Kronecker(gen.Graph500Params(9, 2))
+	sources := RandomSources(g, 24, 5)
+	want := referenceLevelCounts(g, sources, 0)
+	for _, words := range []int{1, 2} {
+		e := NewEngine()
+		opt := Options{Workers: 2, BatchWords: words, Engine: e}
+		levelCountsEqual(t, "cold", collectLevels(t, g, sources, opt), want)
+		poisonEngine(e)
+		levelCountsEqual(t, fmt.Sprintf("poisoned words=%d", words), collectLevels(t, g, sources, opt), want)
+		e.Close()
+	}
 }

@@ -85,6 +85,9 @@ type MSPBFSEngine struct {
 	// prefSink keeps the bottom-up lookahead loads observable so the
 	// compiler cannot dead-code them (software prefetch by hoisted load).
 	prefSink []padCounter
+	// levelCounts are the per-worker per-source discovery tallies behind
+	// Options.OnLevel (see levelcount.go), O(workers x batch width).
+	levelCounts []levelCounter
 
 	// Per-worker bottom-up scratch rows.
 	scratch [][]uint64
@@ -190,6 +193,7 @@ func newMSPBFSEngine(g *graph.Graph, opt Options) *MSPBFSEngine {
 			scratch:   make([][]uint64, workers),
 			liveBits:  make([][]uint64, workers),
 		}
+		e.levelCounts = newLevelCounters(workers, words)
 		if !opt.DisableSegments {
 			e.shadows = bitset.NewShadows(n*words, workers, alloc)
 		}
@@ -250,9 +254,17 @@ func newMSPBFSEngine(g *graph.Graph, opt Options) *MSPBFSEngine {
 	e.tq.Reset()
 	pool.ParallelForStatic(e.tq, e.zeroBody)
 	e.clean = true
+	for w := range e.levelCounts {
+		e.levelCounts[w].reset()
+	}
 	if debugInvariants {
 		debugCheckBorrowedClean("MS-PBFS shell",
 			e.seen.CountAll()+e.buf0.CountAll()+e.buf1.CountAll())
+		dirty := 0
+		for w := range e.levelCounts {
+			dirty += e.levelCounts[w].population()
+		}
+		debugCheckBorrowedClean("MS-PBFS level counters", dirty)
 		if e.shadows != nil && !e.shadows.AllClear() {
 			panic("bfsdebug: MS-PBFS shadows dirty at checkout")
 		}
@@ -366,6 +378,9 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 		if opt.OnVisit != nil {
 			opt.OnVisit(0, batchOffset+i, s, 0)
 		}
+		if opt.OnLevel != nil {
+			opt.OnLevel(batchOffset+i, 0, 1)
+		}
 	}
 
 	// Invariant-layer state (bfsdebug builds only; dead code otherwise).
@@ -425,6 +440,12 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 		}
 
 		updated := sumCounters(e.updated)
+		if opt.OnLevel != nil {
+			counted := e.reduceLevels(depth, batchOffset)
+			if debugInvariants {
+				debugCheckLevelCounts(counted, updated, "MS-PBFS", depth)
+			}
+		}
 		if debugInvariants {
 			dbgSeen = debugCheckBatchIteration(e.seen, next, dbgSeen, updated, "MS-PBFS", depth)
 		}
@@ -715,7 +736,7 @@ func (e *MSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 		}
 		fd.v += d
 		ud.v += d
-		if levels != nil || opt.OnVisit != nil {
+		if levels != nil || opt.OnVisit != nil || opt.OnLevel != nil {
 			e.emitVisits(workerID, v, nRow, levels, e.phDepth, e.phBatchOffset)
 		}
 	}
@@ -846,7 +867,7 @@ func (e *MSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 		}
 		fd.v += d
 		ud.v += d
-		if levels != nil || opt.OnVisit != nil {
+		if levels != nil || opt.OnVisit != nil || opt.OnLevel != nil {
 			e.emitVisits(workerID, u, nRow, levels, e.phDepth, e.phBatchOffset)
 		}
 	}
@@ -937,7 +958,7 @@ func (e *MSPBFSEngine) bottomUpTaskNarrow(workerID int, r sched.Range) {
 		}
 		fd.v += d
 		ud.v += d
-		if levels != nil || opt.OnVisit != nil {
+		if levels != nil || opt.OnVisit != nil || opt.OnLevel != nil {
 			e.emitVisitsNarrow(workerID, u, newBits, levels)
 		}
 	}
@@ -959,9 +980,16 @@ func (e *MSPBFSEngine) runPhase(tq *sched.TaskQueues, steal bool, body func(work
 	return nil
 }
 
-// emitVisits records levels and fires the OnVisit callback for the newly
-// set bits of vertex v.
+// emitVisits hands the newly set bits of vertex v to the traversal's
+// sinks: the worker's per-level counter, the recorded levels and the
+// OnVisit callback.
 func (e *MSPBFSEngine) emitVisits(workerID, v int, newRow []uint64, levels [][]int32, depth int32, batchOffset int) {
+	if e.opt.OnLevel != nil {
+		e.levelCounts[workerID].add(newRow)
+		if levels == nil && e.opt.OnVisit == nil {
+			return
+		}
+	}
 	for wi, w := range newRow {
 		base := wi * 64
 		for ; w != 0; w &= w - 1 {
@@ -978,6 +1006,13 @@ func (e *MSPBFSEngine) emitVisits(workerID, v int, newRow []uint64, levels [][]i
 
 // emitVisitsNarrow is emitVisits for single-word rows.
 func (e *MSPBFSEngine) emitVisitsNarrow(workerID, v int, w uint64, levels [][]int32) {
+	if e.opt.OnLevel != nil {
+		row := [1]uint64{w}
+		e.levelCounts[workerID].add(row[:])
+		if levels == nil && e.opt.OnVisit == nil {
+			return
+		}
+	}
 	for ; w != 0; w &= w - 1 {
 		i := trailingZeros64(w)
 		if levels != nil && i < len(levels) {

@@ -177,6 +177,7 @@ func Scenarios() []Scenario {
 		{"dyn/overlay-scan", "MS-PBFS auto with a resident dynamic-delta overlay", UnitEdgesTraversed, runDynOverlayScan},
 		{"mspbfs/auto-large", "MS-PBFS direction switching on the large fixture", UnitEdgesTraversed, runMSPBFSAutoLarge},
 		{"msbfs/sequential-large", "sequential MS-BFS on the large fixture", UnitEdgesTraversed, runMSBFSSeqLarge},
+		{"analytics/closeness-wide", "facade Closeness, one full 512-source batch (per-level count path)", UnitEdgesTraversed, runClosenessWide},
 	}
 }
 

@@ -24,7 +24,10 @@ type suiteEnv struct {
 	cfg     Config
 	g       *graph.Graph // striped labeling, the suite's traversal input
 	sources []int
-	counter *metrics.EdgeCounter
+	// sourcesWide fills one closenessWideWords batch exactly, for the
+	// analytics/closeness-wide row.
+	sourcesWide []int
+	counter     *metrics.EdgeCounter
 	// The large fixture (cfg.LargeScale) drives the *-large scenarios: a
 	// working set past LLC capacity, where the worker-owned frontier
 	// segments and cache-blocked bottom-up stripes are supposed to earn
@@ -55,6 +58,11 @@ func newSuiteEnv(cfg Config) (*suiteEnv, error) {
 	if len(sources) < cfg.Sources {
 		return nil, fmt.Errorf("perf: graph scale %d yielded only %d/%d usable sources",
 			cfg.Scale, len(sources), cfg.Sources)
+	}
+	sourcesWide := core.RandomSources(striped, 64*closenessWideWords, cfg.Seed)
+	if len(sourcesWide) < 64*closenessWideWords {
+		return nil, fmt.Errorf("perf: graph scale %d yielded only %d/%d usable sources",
+			cfg.Scale, len(sourcesWide), 64*closenessWideWords)
 	}
 	// The large fixture is pinned exactly like the base one: same seed,
 	// same striped relabeling, same source-selection procedure, just a
@@ -109,6 +117,7 @@ func newSuiteEnv(cfg Config) (*suiteEnv, error) {
 		cfg:          cfg,
 		g:            striped,
 		sources:      sources,
+		sourcesWide:  sourcesWide,
 		counter:      metrics.NewEdgeCounter(striped),
 		gLarge:       stripedLarge,
 		sourcesLarge: sourcesLarge,
@@ -345,4 +354,21 @@ func runEngineColdStart(e *suiteEnv) Sample {
 	eng := msbfs.NewEngine(msbfs.Options{Workers: e.cfg.Workers})
 	defer eng.Close()
 	return runEngineLoad(e, eng)
+}
+
+// closenessWideWords is the batch width of the analytics/closeness-wide
+// row, in 64-bit words: the 512-wide rows cmd/centrality and the facade's
+// auto width run on large source sets.
+const closenessWideWords = 8
+
+// runClosenessWide is the facade Closeness over one full 512-source batch
+// at BatchWords 8: the wide kernel paths plus the per-level discovery
+// counters and their barrier reduction, at the suite's worker count. Every
+// other traversal row runs 64-wide rows and no count sink.
+func runClosenessWide(e *suiteEnv) Sample {
+	opt := msbfs.Options{Workers: e.cfg.Workers, BatchWords: closenessWideWords}
+	start := time.Now()
+	e.srvG.Closeness(e.sourcesWide, opt)
+	elapsed := time.Since(start)
+	return Sample{Elapsed: elapsed, Work: e.counter.EdgesForAll(e.sourcesWide)}
 }

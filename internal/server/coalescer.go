@@ -23,6 +23,7 @@ import (
 	"time"
 
 	msbfs "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -538,6 +539,9 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 	if live[0].snap != nil {
 		runner = live[0].snap.RunBatch
 	}
+	if allBounded && depthBound == 0 {
+		runner = sourcesOnly
+	}
 	sp := c.cfg.Tracer.StartSpan("coalescer-flush", c.cfg.Graph)
 	res, runErr := runner(ctx, sources, opt, func(workerID, sourceIdx, vertex, depth int) {
 		a := &accs[workerID][sourceIdx]
@@ -617,7 +621,7 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 				}
 			}
 		case KindCloseness:
-			ans.Closeness = closenessValue(n, total.sum, total.reached)
+			ans.Closeness = core.ClosenessFromSums(n, total.sum, total.reached)
 		case KindReachability:
 			ans.Reachable = dists[i][0] != msbfs.NoLevel
 		case KindKHop:
@@ -662,13 +666,14 @@ func batchContext(live []*pendingReq) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(context.Background(), latest)
 }
 
-// closenessValue applies the Wasserman-Faust disconnected-graph
-// normalization, matching msbfs.Graph.Closeness: (reached-1)/sum scaled by
-// the fraction of the graph reached. reached counts the source itself.
-func closenessValue(n int, sum, reached int64) float64 {
-	if reached <= 1 || sum == 0 || n <= 1 {
-		return 0
+// sourcesOnly is the batch runner for a batch of khop queries whose widest
+// radius is 0. MaxDepth 0 would mean an unlimited traversal, and every
+// answer is the source alone, so it visits each source at depth 0 and
+// traverses nothing.
+func sourcesOnly(_ context.Context, sources []int, _ msbfs.Options,
+	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
+	for i, s := range sources {
+		visit(0, i, s, 0)
 	}
-	r := float64(reached - 1)
-	return r / float64(sum) * r / float64(n-1)
+	return &msbfs.MultiResult{Sources: sources, VisitedStates: int64(len(sources))}, nil
 }

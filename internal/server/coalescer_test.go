@@ -315,6 +315,49 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestKHopRadiusZeroBatch pins that a batch of only radius-0 khop queries
+// is answered by the sources alone: MaxDepth 0 means an unlimited
+// traversal, so the widest radius being 0 must not reach the backend.
+// A radius-0 query batched beside a wider one still counts only itself.
+func TestKHopRadiusZeroBatch(t *testing.T) {
+	cg := &countingGraph{Graph: testGraph(t)}
+	c := NewCoalescer(cg, Config{Workers: 2, FlushDeadline: time.Millisecond}, NewMetrics(), nil)
+	defer c.Close()
+
+	ans, err := c.Submit(context.Background(), Query{Kind: KindKHop, Source: 0, Hops: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Count != 1 || ans.Visited != 1 || ans.Eccentricity != 0 {
+		t.Errorf("radius-0 khop: count %d visited %d eccentricity %d, want 1, 1, 0",
+			ans.Count, ans.Visited, ans.Eccentricity)
+	}
+	if b := cg.batches.Load(); b != 0 {
+		t.Errorf("radius-0 khop batch ran %d traversals, want 0", b)
+	}
+
+	queries := []Query{{Kind: KindKHop, Source: 0, Hops: 0}, {Kind: KindKHop, Source: 0, Hops: 2}}
+	answers := make([]Answer, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if answers[i], err = c.Submit(context.Background(), q); err != nil {
+				t.Errorf("query %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if answers[0].Count != 1 {
+		t.Errorf("radius-0 khop beside radius 2: count %d, want 1", answers[0].Count)
+	}
+	if want := cg.NeighborhoodSizes([]int{0}, 2, msbfs.Options{})[0]; answers[1].Count != want {
+		t.Errorf("radius-2 khop: count %d, library %d", answers[1].Count, want)
+	}
+}
+
 func TestQueueFullAndRetry(t *testing.T) {
 	g := testGraph(t)
 	met := NewMetrics()
