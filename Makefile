@@ -105,6 +105,11 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzLoadEdgeList$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzFrontierCodec$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	$(GO) test -fuzz '^FuzzResultLevels$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	$(GO) test -fuzz '^FuzzDecodeStart$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	$(GO) test -fuzz '^FuzzDecodeStepDone$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	$(GO) test -fuzz '^FuzzDecodeDelta32$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	$(GO) test -fuzz '^FuzzDecodeLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz '^FuzzApplyEdges$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/
 
 # obs-smoke = end-to-end check of the observability surface: bfsd debug

@@ -262,11 +262,13 @@ func TestClusterContextCancellation(t *testing.T) {
 }
 
 // TestClusterShardKillMidQuery kills a shard while queries stream through
-// the barrier and requires a prompt typed failure, not a hang. Run under
-// -race this also shakes the teardown paths.
+// the barrier and requires a prompt typed failure, not a hang, with each
+// failed query in the coordinator's flight record. Run under -race this
+// also shakes the teardown paths.
 func TestClusterShardKillMidQuery(t *testing.T) {
+	tracer := obs.NewTracer()
 	ip, err := StartInproc(context.Background(), 4,
-		ShardOptions{Workers: 2, StepTimeout: 2 * time.Second}, CoordinatorOptions{})
+		ShardOptions{Workers: 2, StepTimeout: 2 * time.Second}, CoordinatorOptions{Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,6 +306,21 @@ func TestClusterShardKillMidQuery(t *testing.T) {
 	}
 	if ip.Coord.Metrics().QueryErrors.Load() == 0 {
 		t.Error("QueryErrors not incremented")
+	}
+	// CoordinatorOptions.Tracer promises one traversal per query, so both
+	// failed queries must be there, each with its error and the first with
+	// the levels it ran before the kill.
+	snap := tracer.Snapshot()
+	if len(snap.Traversals) != 2 {
+		t.Fatalf("%d traversals recorded, want the 2 failed queries", len(snap.Traversals))
+	}
+	for i, tv := range snap.Traversals {
+		if tv.Algo != "cluster/ms-pbfs" || tv.Err == "" {
+			t.Errorf("traversal %d: algo %q err %q, want a cluster/ms-pbfs traversal with its error", i, tv.Algo, tv.Err)
+		}
+	}
+	if len(snap.Traversals[0].Iterations) == 0 {
+		t.Error("mid-query failure recorded no iterations")
 	}
 }
 

@@ -129,7 +129,7 @@ func decodeDelta(payload []byte, words []uint64, n, stride int) error {
 			return fmt.Errorf("cluster: dense delta is %d bytes, want %d", len(body), rawBytes(n, stride))
 		}
 		for i := 0; i < n*stride; i++ {
-			words[i] |= binary.LittleEndian.Uint64(body[i*8:]) //bfs:singlewriter decode runs on the one goroutine that drains the delta inbox
+			words[i] |= binary.LittleEndian.Uint64(body[i*8:]) //bfs:singlewriter the caller owns words: a shard's inbox drain or the coordinator's scratch slab
 		}
 		return nil
 	case codecSparse:
@@ -176,7 +176,7 @@ func decodeDelta(payload []byte, words []uint64, n, stride int) error {
 				if len(body) < 8 {
 					return fmt.Errorf("cluster: sparse delta: truncated word at row %d", v)
 				}
-				words[off+i] |= binary.LittleEndian.Uint64(body) //bfs:singlewriter decode runs on the one goroutine that drains the delta inbox
+				words[off+i] |= binary.LittleEndian.Uint64(body) //bfs:singlewriter the caller owns words: a shard's inbox drain or the coordinator's scratch slab
 				body = body[8:]
 			}
 		}

@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +26,8 @@ type CoordinatorOptions struct {
 
 // Coordinator is the query-side half of cluster mode: it owns one control
 // connection per shard, partitions and ships graphs, and drives the
-// level-synchronous barrier of every query, merging the per-shard level
-// arrays back into the single-process result shape.
+// level-synchronous barrier of every query, expanding the shards'
+// per-level frontier logs back into the single-process result shape.
 type Coordinator struct {
 	addrs  []string
 	conns  []*rpcConn
@@ -166,10 +166,13 @@ func (c *Coordinator) LoadGraph(ctx context.Context, name string, g *msbfs.Graph
 
 // RunBatch executes sources as k-wide cluster traversals (batches of up
 // to 64*BatchWords slots, 512 max) and streams every (source, vertex,
-// depth) discovery to visit — the same contract as
-// msbfs.Graph.MultiBFSVisitor, with visit always called sequentially as
-// workerID 0 (the merge runs on one goroutine). A connection-level
-// failure aborts with an error wrapping ErrShardDown.
+// depth) discovery, seeds included at depth 0, to visit — the same set of
+// calls as msbfs.Graph.MultiBFSVisitor. visit is always called
+// sequentially as workerID 0. Within a batch the calls come level by
+// level, vertices ascending within a level and slots ascending within a
+// vertex; callers must not rely on any other order. A failed batch may
+// have delivered part of its visits before RunBatch returns the error. A
+// connection-level failure aborts with an error wrapping ErrShardDown.
 func (rg *RemoteGraph) RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
 	opt = opt.Normalize()
@@ -202,16 +205,15 @@ func (rg *RemoteGraph) RunBatch(ctx context.Context, sources []int, opt msbfs.Op
 
 // runOne drives a single k-wide batch: start on every shard, step the
 // level barrier until all frontiers drain (or MaxDepth is reached), fetch
-// and merge the per-shard level rows, then release the shards' state.
+// each shard's per-level frontier log and replay it as visits and level
+// rows, then release the shards' state. When neither visit nor
+// RecordLevels consumes the answer, the fetch is skipped: VisitedStates
+// comes from the step replies alone. The query's flight record is
+// published on every return path, failed queries included.
 func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int), res *msbfs.MultiResult) (err error) {
 	c := rg.c
 	c.met.Queries.Add(1)
-	defer func() {
-		if err != nil {
-			c.met.QueryErrors.Add(1)
-		}
-	}()
 	qid := c.nextID.Add(1)
 	k := len(batch)
 
@@ -224,17 +226,19 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 	if tv != nil {
 		traceID = tv.ID
 	}
-
-	if err := c.fanOut(func(s int) error {
-		_, err := c.call(ctx, s, msgStart, encodeStart(qid, rg.name, batch, traceID))
-		return err
-	}); err != nil {
-		return err
-	}
-	// From here on the shards hold engine-borrowed state for qid; release
-	// it on every path. On the error path a shard may already be gone, so
-	// the cleanup is best-effort under its own short deadline.
+	// The query ends the same way on every path: count a failure, publish
+	// the flight record, then release the shards' engine-borrowed state
+	// for qid. The release also covers a partly failed start, since ending
+	// an unknown query succeeds. On the error path a shard may already be
+	// gone, so the release is best-effort under its own short deadline.
 	defer func() {
+		if err != nil {
+			c.met.QueryErrors.Add(1)
+			if tv != nil {
+				tv.Err = err.Error()
+			}
+		}
+		tv.Finish(0, 0)
 		endCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = c.fanOut(func(s int) error {
@@ -245,6 +249,13 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 			return err
 		})
 	}()
+
+	if err := c.fanOut(func(s int) error {
+		_, err := c.call(ctx, s, msgStart, encodeStart(qid, rg.name, batch, traceID))
+		return err
+	}); err != nil {
+		return err
+	}
 
 	// Level barrier. The sources seed level 0; iteration L discovers the
 	// level-L states. totalNext counts (vertex, source) states cluster-wide,
@@ -321,12 +332,26 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 		})
 	}
 
-	// Fetch and merge: each shard returns its k x rlen level rows; the
-	// global row of slot i is the concatenation over shards. The visit
-	// stream replays every discovery sequentially as workerID 0.
+	// VisitedStates counts (vertex, source) discoveries exactly as the
+	// in-process kernel does: one per batch slot at seed time plus every
+	// new state each level produced.
+	res.VisitedStates += visited
+	if visit == nil && !opt.RecordLevels {
+		return nil
+	}
+
+	// Fetch every shard's level log, then replay them on this goroutine.
+	replies := make([][]byte, len(c.conns))
+	if err := c.fanOut(func(s int) error {
+		out, err := c.call(ctx, s, msgResult, encodeQueryRef(qid))
+		replies[s] = out
+		return err
+	}); err != nil {
+		return err
+	}
 	var levels [][]int32
 	if opt.RecordLevels {
-		levels = make([][]int32, k)
+		levels = res.Levels[batchOffset : batchOffset+k]
 		for i := range levels {
 			row := make([]int32, rg.n)
 			for v := range row {
@@ -335,51 +360,85 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 			levels[i] = row
 		}
 	}
-	var mergeMu sync.Mutex // serializes visit across the concurrent fetches
-	if err := c.fanOut(func(s int) error {
-		lo, hiV := rg.part.Range(s)
-		rlen := hiV - lo
-		out, err := c.call(ctx, s, msgResult, encodeQueryRef(qid))
+	return replayLevels(replies, rg.part, k, level, batchOffset, levels, visit)
+}
+
+// replayLevels validates the shards' msgResult replies for a k-wide batch
+// that ran steps barrier rounds over part, then expands them level by
+// level across the shards: every state (slot, vertex) first reached at
+// level L sets levels[slot][vertex] = L when levels is non-nil and calls
+// visit(0, batchOffset+slot, vertex, L) when visit is non-nil. Each level
+// payload is decoded into one reused scratch slab, which the walk clears
+// as it goes.
+//
+// A reply must carry exactly k slots, the shard's range length and
+// steps+1 levels, and every payload must decode within that shape with no
+// bit at a slot >= k. The bfsdebug build also rejects a state reported at
+// two levels.
+func replayLevels(replies [][]byte, part Partition, k, steps, batchOffset int, levels [][]int32,
+	visit func(workerID, sourceIdx, vertex, depth int)) error {
+	words := (k + 63) / 64
+	// Bits of a row's last word that belong to real slots.
+	lastMask := ^uint64(0) >> (uint(-k) & 63)
+	logs := make([][][]byte, len(replies))
+	maxLen := 0
+	for s, out := range replies {
+		rlen := part.Len(s)
+		gotK, gotR, lv, err := decodeResultLevels(out)
 		if err != nil {
-			return err
-		}
-		gotK, gotR, rows, err := decodeResultRows(out)
-		if err != nil {
-			return err
+			return fmt.Errorf("cluster: shard %d result: %w", s, err)
 		}
 		if gotK != k || gotR != rlen {
-			return fmt.Errorf("cluster: shard %d returned %dx%d rows, want %dx%d", s, gotK, gotR, k, rlen)
+			return fmt.Errorf("cluster: shard %d returned %d slots x %d vertices, want %dx%d", s, gotK, gotR, k, rlen)
 		}
-		mergeMu.Lock()
-		defer mergeMu.Unlock()
-		for i := 0; i < k; i++ {
-			row := rows[i*rlen*4 : (i+1)*rlen*4]
-			for v := 0; v < rlen; v++ {
-				lv := int32(binary.LittleEndian.Uint32(row[v*4:]))
-				if lv == core.NoLevel {
-					continue
-				}
-				if levels != nil {
-					levels[i][lo+v] = lv
-				}
-				if visit != nil {
-					visit(0, batchOffset+i, lo+v, int(lv))
+		if len(lv) != steps+1 {
+			return fmt.Errorf("cluster: shard %d returned %d levels after %d steps", s, len(lv), steps)
+		}
+		logs[s] = lv
+		maxLen = max(maxLen, rlen)
+	}
+	scratch := make([]uint64, maxLen*words)
+	var seen []uint64
+	if debugInvariants {
+		seen = make([]uint64, part.N()*words)
+	}
+	for depth := 0; depth <= steps; depth++ {
+		for s, lv := range logs {
+			lo, hi := part.Range(s)
+			slab := scratch[:(hi-lo)*words]
+			if err := decodeDelta(lv[depth], slab, hi-lo, words); err != nil {
+				return fmt.Errorf("cluster: shard %d level %d: %w", s, depth, err)
+			}
+			for v := 0; v < hi-lo; v++ {
+				row := slab[v*words : (v+1)*words]
+				for wi, w := range row {
+					if w == 0 {
+						continue
+					}
+					row[wi] = 0 //bfs:singlewriter the scratch slab is private to this call
+					if wi == words-1 && w&^lastMask != 0 {
+						return fmt.Errorf("cluster: shard %d level %d: vertex %d has slots beyond batch width %d", s, depth, lo+v, k)
+					}
+					if debugInvariants {
+						i := (lo+v)*words + wi
+						if dup := seen[i] & w; dup != 0 {
+							return fmt.Errorf("bfsdebug: cluster result: vertex %d reaches slot %d again at level %d",
+								lo+v, wi*64+bits.TrailingZeros64(dup), depth)
+						}
+						seen[i] |= w //bfs:singlewriter the seen slab is private to this call
+					}
+					for b := w; b != 0; b &= b - 1 {
+						slot := wi*64 + bits.TrailingZeros64(b)
+						if levels != nil {
+							levels[slot][lo+v] = int32(depth)
+						}
+						if visit != nil {
+							visit(0, batchOffset+slot, lo+v, depth)
+						}
+					}
 				}
 			}
 		}
-		return nil
-	}); err != nil {
-		return err
 	}
-	for i := range levels {
-		res.Levels[batchOffset+i] = levels[i]
-	}
-
-	// VisitedStates counts (vertex, source) discoveries exactly as the
-	// in-process kernel does: one per batch slot at seed time plus every
-	// new state each level produced.
-	res.VisitedStates += visited
-
-	tv.Finish(0, 0)
 	return nil
 }

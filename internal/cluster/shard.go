@@ -49,7 +49,7 @@ type ShardOptions struct {
 // Shard is one bfsd shard process: it owns a contiguous vertex slice of
 // each loaded graph, runs the local part of every level-synchronous
 // MS-PBFS step, and exchanges delta frontiers with its peers directly.
-// All state a query borrows (bitset states, level rows, worker pools)
+// All state a query borrows (bitset states, worker pools)
 // comes from one long-lived core.Engine, so repeated queries over a
 // partition recycle their arrays exactly as the single-process server
 // does.
@@ -91,7 +91,14 @@ type shardQuery struct {
 	seen, cur, next *bitset.State // rlen x words, engine-borrowed
 	acc             []*bitset.State
 	accLo           []int
-	levels          [][]int32 // k rows x rlen
+
+	// levelLog is the query's answer in the delta codec: after seeding and
+	// after every apply phase, cur holds exactly the (vertex, slot) states
+	// first reached at that level, and its encoding is appended here.
+	// levelEnds[L] is where level L's payload ends. msgResult ships the
+	// log as is; the coordinator expands it into visits and level rows.
+	levelLog  []byte
+	levelEnds []int
 
 	// shadows is the worker-owned scatter substrate for the local half of
 	// the step (same protocol as MSPBFSEngine): local-neighbor writes go
@@ -458,13 +465,6 @@ func (s *Shard) handleStart(payload []byte) error {
 			q.expectDeltas++
 		}
 	}
-	q.levels = make([][]int32, k)
-	for i := range q.levels {
-		q.levels[i] = s.eng.BorrowLevels(g.rlen) //bfs:arena-held rows live for the query; handleEnd releases them
-		for v := range q.levels[i] {
-			q.levels[i][v] = core.NoLevel
-		}
-	}
 	if g.rlen > 0 {
 		q.pool, q.releasePool = s.eng.BorrowPool(g.workers) //bfs:arena-held pool lives for the query; handleEnd releases it
 		// Stripe-affine task layout: worker w's queue holds the tasks of
@@ -480,14 +480,15 @@ func (s *Shard) handleStart(payload []byte) error {
 
 	// Seed the slots this shard owns: source at depth 0, already seen,
 	// already in the current frontier — the same seeding MS-PBFS does.
+	// The seeded frontier is level 0 of the log.
 	for i, src := range m.sources {
 		if src >= g.lo && src < g.hi {
 			v := src - g.lo
 			q.seen.Set(v, i)
 			q.cur.Set(v, i)
-			q.levels[i][v] = 0
 		}
 	}
+	q.logLevel()
 
 	s.mu.Lock()
 	var regErr error
@@ -522,7 +523,8 @@ func (s *Shard) getQuery(qid uint64) (*shardQuery, error) {
 // scan the owned frontier into the local next state and the per-peer
 // delta accumulators, stream the encoded deltas to the peers, absorb the
 // peers' inbound deltas, then apply: new = next &^ seen, fold into seen,
-// promote to the current frontier, record levels.
+// promote to the current frontier, and append the new frontier to the
+// level log.
 //
 // When the query is traced each phase boundary stamps the monotonic clock
 // into a stepTrace that rides back on the reply; untraced queries take
@@ -694,7 +696,9 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 		}
 	}
 
-	// Phase 4: apply. Ranges are disjoint so plain word ops suffice.
+	// Phase 4: apply. Ranges are disjoint so plain word ops suffice. The
+	// new frontier is exactly this level's discoveries; one serial encode
+	// pass appends it to the level log.
 	var nextStates int64
 	if g.rlen > 0 {
 		for w := range q.counters {
@@ -705,22 +709,12 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 		q.tq.Reset()
 		q.pool.ParallelFor(q.tq, func(workerID int, rg sched.Range) {
 			var count int64
-			for v := rg.Lo; v < rg.Hi; v++ {
-				off := v * words
-				for wi := 0; wi < words; wi++ {
-					nw := nextW[off+wi] &^ seenW[off+wi]
-					seenW[off+wi] |= nw //bfs:singlewriter apply phase partitions vertices across workers
-					curW[off+wi] = nw   //bfs:singlewriter apply phase partitions vertices across workers
-					nextW[off+wi] = 0   //bfs:singlewriter apply phase partitions vertices across workers
-					if nw == 0 {
-						continue
-					}
-					count += int64(bits.OnesCount64(nw))
-					base := wi * 64
-					for b := nw; b != 0; b &= b - 1 {
-						q.levels[base+bits.TrailingZeros64(b)][v] = int32(level)
-					}
-				}
+			for i := rg.Lo * words; i < rg.Hi*words; i++ {
+				nw := nextW[i] &^ seenW[i]
+				seenW[i] |= nw //bfs:singlewriter apply phase partitions vertices across workers
+				curW[i] = nw   //bfs:singlewriter apply phase partitions vertices across workers
+				nextW[i] = 0   //bfs:singlewriter apply phase partitions vertices across workers
+				count += int64(bits.OnesCount64(nw))
 			}
 			q.counters[workerID].v += count
 		})
@@ -728,6 +722,7 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 			nextStates += q.counters[w].v
 		}
 	}
+	q.logLevel()
 	d := stepDone{
 		nextStates: nextStates,
 		sentBytes:  sentBytes,
@@ -765,7 +760,14 @@ func (s *Shard) handleResult(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeResultRows(q.levels, q.g.rlen), nil
+	return encodeResultLevels(q.k, q.g.rlen, q.levelLog, q.levelEnds), nil
+}
+
+// logLevel appends the current frontier — the states first reached at the
+// level just finished — to the query's level log.
+func (q *shardQuery) logLevel() {
+	q.levelLog = encodeDelta(q.levelLog, q.cur.Words(), q.g.rlen, q.words)
+	q.levelEnds = append(q.levelEnds, len(q.levelLog))
 }
 
 // handleEnd releases a query's engine-held state. Ending an unknown query
@@ -798,7 +800,6 @@ func (s *Shard) releaseQuery(q *shardQuery) {
 			s.eng.ReturnState(a)
 		}
 	}
-	s.eng.ReleaseLevels(q.levels...)
 	if q.releasePool != nil {
 		q.releasePool()
 	}

@@ -28,7 +28,7 @@ const (
 	msgLoad   = 0x01 // load a graph slice: see encodeLoad
 	msgStart  = 0x02 // begin a query: graph name, k sources
 	msgStep   = 0x03 // run one BFS level
-	msgResult = 0x04 // fetch the query's level rows
+	msgResult = 0x04 // fetch the query's per-level frontier log
 	msgEnd    = 0x05 // release the query's state
 	msgDrop   = 0x06 // unload a graph
 
@@ -41,9 +41,9 @@ const (
 )
 
 // maxFrame bounds accepted frame sizes. The largest legitimate frames are
-// graph-slice loads (adjacency of one shard) and dense level-row results;
-// 1 GiB leaves headroom for scale-25-class slices while stopping a
-// corrupted length prefix from allocating the universe.
+// graph-slice loads (adjacency of one shard); 1 GiB leaves headroom for
+// scale-25-class slices while stopping a corrupted length prefix from
+// allocating the universe.
 const maxFrame = 1 << 30
 
 const frameHeader = 1 + 8 // type + request id
@@ -113,6 +113,20 @@ func (r *wireReader) intv() (int, error) {
 		return 0, fmt.Errorf("cluster: unreasonable count %d", v)
 	}
 	return int(v), nil
+}
+
+// count reads an element count and rejects it unless the remaining
+// payload could hold that many elements of at least minBytes each, so a
+// corrupted count fails before it sizes an allocation.
+func (r *wireReader) count(minBytes int) (int, error) {
+	n, err := r.intv()
+	if err != nil {
+		return 0, err
+	}
+	if n > len(r.b)/minBytes {
+		return 0, fmt.Errorf("cluster: count %d exceeds the %d payload bytes left", n, len(r.b))
+	}
+	return n, nil
 }
 
 func (r *wireReader) bytes(n int) ([]byte, error) {
@@ -206,7 +220,7 @@ func decodeLoad(payload []byte) (*loadMsg, error) {
 	if m.workers, err = r.intv(); err != nil {
 		return nil, err
 	}
-	np, err := r.intv()
+	np, err := r.count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +301,7 @@ func decodeStart(payload []byte) (*startMsg, error) {
 	if m.name, err = r.str(); err != nil {
 		return nil, err
 	}
-	k, err := r.intv()
+	k, err := r.count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +357,7 @@ type stepTrace struct {
 	sendNanos   uint64 // phase 2b: concurrent peer-link sends (wall)
 	waitNanos   uint64 // phase 3: barrier wait for inbound peer deltas
 	decodeNanos uint64 // phase 3: inbound delta decode + OR into next
-	applyNanos  uint64 // phase 4: next &^ seen fold + level recording
+	applyNanos  uint64 // phase 4: next &^ seen fold + level-log encode
 }
 
 func encodeStepDone(d stepDone) []byte {
@@ -420,22 +434,28 @@ func decodeDelta32(payload []byte) (*deltaMsg, error) {
 	return m, nil
 }
 
-// resultMsg is the per-shard reply to msgResult: the query's k level rows
-// over the shard's rlen local vertices, row-major int32 little-endian
-// (NoLevel for unreached), prefixed by k and rlen for validation.
-func encodeResultRows(rows [][]int32, rlen int) []byte {
-	dst := make([]byte, 0, 16+len(rows)*rlen*4)
-	dst = binary.AppendUvarint(dst, uint64(len(rows)))
+// The msgResult reply carries one shard's answer as its level log: k and
+// rlen for validation, the level count (the seeds' level 0 plus one per
+// step the shard ran), then per level a uvarint length and the delta-codec
+// payload of the rlen x words states first reached at that level.
+func encodeResultLevels(k, rlen int, log []byte, ends []int) []byte {
+	dst := make([]byte, 0, (3+len(ends))*binary.MaxVarintLen64+len(log))
+	dst = binary.AppendUvarint(dst, uint64(k))
 	dst = binary.AppendUvarint(dst, uint64(rlen))
-	for _, row := range rows {
-		for _, lv := range row[:rlen] {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(lv))
-		}
+	dst = binary.AppendUvarint(dst, uint64(len(ends)))
+	start := 0
+	for _, end := range ends {
+		dst = binary.AppendUvarint(dst, uint64(end-start))
+		dst = append(dst, log[start:end]...)
+		start = end
 	}
 	return dst
 }
 
-func decodeResultRows(payload []byte) (k, rlen int, rows []byte, err error) {
+// decodeResultLevels splits a msgResult reply into its header and the
+// per-level codec payloads, which alias payload. The payloads themselves
+// are validated when they are decoded.
+func decodeResultLevels(payload []byte) (k, rlen int, levels [][]byte, err error) {
 	r := &wireReader{b: payload}
 	if k, err = r.intv(); err != nil {
 		return 0, 0, nil, err
@@ -443,8 +463,20 @@ func decodeResultRows(payload []byte) (k, rlen int, rows []byte, err error) {
 	if rlen, err = r.intv(); err != nil {
 		return 0, 0, nil, err
 	}
-	if rows, err = r.bytes(k * rlen * 4); err != nil {
+	// Every level costs at least a length byte and a codec header byte.
+	count, err := r.count(2)
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	return k, rlen, rows, r.done()
+	levels = make([][]byte, count)
+	for i := range levels {
+		n, err := r.intv()
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		if levels[i], err = r.bytes(n); err != nil {
+			return 0, 0, nil, err
+		}
+	}
+	return k, rlen, levels, r.done()
 }

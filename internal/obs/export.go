@@ -43,6 +43,11 @@ func writeTraversalText(w io.Writer, tv *Traversal) error {
 		tv.ArenaHits, tv.ArenaMisses); err != nil {
 		return err
 	}
+	if tv.Err != "" {
+		if _, err := fmt.Fprintf(w, "failed: %s\n", tv.Err); err != nil {
+			return err
+		}
+	}
 	exchanged, merged := false, false
 	for _, it := range tv.Iterations {
 		if it.ExchangeRawBytes != 0 {

@@ -191,6 +191,9 @@ type Traversal struct {
 	// traversal: one entry per (level, shard), appended level by level by
 	// the coordinator. Empty for single-process traversals.
 	ShardSteps []ShardStep `json:"shard_steps,omitempty"`
+	// Err is the error that ended a failed traversal, empty on success.
+	// Set by the producer before Finish.
+	Err string `json:"err,omitempty"`
 
 	t                    *Tracer
 	baseHits, baseMisses uint64

@@ -301,9 +301,9 @@ func runClusterInproc(e *suiteEnv) Sample {
 		// fixture must abort the suite rather than record garbage timings.
 		panic(fmt.Sprintf("perf: cluster/inproc: %v", err))
 	}
-	// The exchange allocates wire frames and decoded level rows; collect
-	// them in this scenario's (untimed) slot so the GC debt cannot bleed
-	// into whichever scenario the interleaved protocol runs next.
+	// The exchange allocates wire frames; collect them in this scenario's
+	// (untimed) slot so the GC debt cannot bleed into whichever scenario
+	// the interleaved protocol runs next.
 	runtime.GC()
 	return Sample{Elapsed: elapsed, Work: e.counter.EdgesForAll(e.sources)}
 }
@@ -324,7 +324,7 @@ func runObsNilTracerCluster(e *suiteEnv) Sample {
 		panic(fmt.Sprintf("perf: obs/nil-tracer-cluster: %v", err))
 	}
 	// Same untimed cleanup as cluster/inproc: the exchange's wire frames
-	// and level rows must not become the next scenario's GC debt.
+	// must not become the next scenario's GC debt.
 	runtime.GC()
 	return Sample{Elapsed: elapsed, Work: e.counter.EdgesForAll(e.sources)}
 }
