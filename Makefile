@@ -69,7 +69,7 @@ dyn-test:
 # (per-iteration frontier/seen cross-checks + reference-BFS distance
 # verification; see docs/ANALYSIS.md).
 debug:
-	$(GO) test -tags bfsdebug ./internal/core/...
+	$(GO) test -tags bfsdebug ./internal/core/... ./internal/cluster/...
 
 # serve = run the query daemon on a demo graph (see docs/SERVER.md).
 SERVE_GRAPH ?= demo=kron:scale=14
@@ -105,7 +105,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzLoadEdgeList$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzFrontierCodec$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
-	$(GO) test -fuzz '^FuzzResultLevels$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	$(GO) test -fuzz '^FuzzReplayLevel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz '^FuzzDecodeStart$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz '^FuzzDecodeStepDone$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz '^FuzzDecodeDelta32$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/

@@ -280,12 +280,22 @@ func TestClusterShardKillMidQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rpcs := &ip.Coord.Metrics().RPCs
+	before := rpcs.Load()
 	done := make(chan error, 1)
 	go func() {
 		_, err := rg.RunBatch(context.Background(), []int{0}, msbfs.Options{RecordLevels: true}, nil)
 		done <- err
 	}()
-	time.Sleep(30 * time.Millisecond)
+	// Kill once the 4 start and 4 level-1 step calls have returned, so
+	// the kill lands after at least one recorded level however slow the
+	// machine.
+	for deadline := time.Now().Add(10 * time.Second); rpcs.Load() < before+8; {
+		if time.Now().After(deadline) {
+			t.Fatal("query made no progress in 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	ip.KillShard(2)
 	select {
 	case err := <-done:

@@ -26,8 +26,8 @@ type CoordinatorOptions struct {
 
 // Coordinator is the query-side half of cluster mode: it owns one control
 // connection per shard, partitions and ships graphs, and drives the
-// level-synchronous barrier of every query, expanding the shards'
-// per-level frontier logs back into the single-process result shape.
+// level-synchronous barrier of every query, expanding the per-level
+// frontiers the shards report back into the single-process result shape.
 type Coordinator struct {
 	addrs  []string
 	conns  []*rpcConn
@@ -103,6 +103,8 @@ func (c *Coordinator) fanOut(fn func(shard int) error) error {
 	// root-cause error over whichever secondary failure happens to sit
 	// on a lower shard index, so callers racing a shard loss always see
 	// ErrShardDown.
+	// Calls that a sibling's failure abandoned report context.Canceled;
+	// any other error is closer to the cause.
 	var first error
 	for _, err := range errs {
 		if err == nil {
@@ -111,7 +113,7 @@ func (c *Coordinator) fanOut(fn func(shard int) error) error {
 		if errors.Is(err, ErrShardDown) {
 			return err
 		}
-		if first == nil {
+		if first == nil || errors.Is(first, context.Canceled) && !errors.Is(err, context.Canceled) {
 			first = err
 		}
 	}
@@ -164,15 +166,24 @@ func (c *Coordinator) LoadGraph(ctx context.Context, name string, g *msbfs.Graph
 	return &RemoteGraph{c: c, name: name, n: n, part: part}, nil
 }
 
+// replayQueue bounds how many levels the barrier loop may run ahead of
+// the visitor replay: enough to keep the shards stepping through a slow
+// level's replay, few enough that the queued payloads stay a handful of
+// frontiers.
+const replayQueue = 4
+
 // RunBatch executes sources as k-wide cluster traversals (batches of up
 // to 64*BatchWords slots, 512 max) and streams every (source, vertex,
 // depth) discovery, seeds included at depth 0, to visit — the same set of
 // calls as msbfs.Graph.MultiBFSVisitor. visit is always called
-// sequentially as workerID 0. Within a batch the calls come level by
-// level, vertices ascending within a level and slots ascending within a
-// vertex; callers must not rely on any other order. A failed batch may
-// have delivered part of its visits before RunBatch returns the error. A
-// connection-level failure aborts with an error wrapping ErrShardDown.
+// sequentially on the caller's goroutine as workerID 0, so a panicking
+// visitor panics there. Within a batch the calls come level by level,
+// vertices ascending within a level and slots ascending within a vertex;
+// callers must not rely on any other order. A level's visits run while
+// the shards compute the next levels. A failed batch may have delivered
+// part of its visits before RunBatch returns the error; none come after
+// it returns. A connection-level failure aborts with an error wrapping
+// ErrShardDown.
 func (rg *RemoteGraph) RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
 	opt = opt.Normalize()
@@ -204,23 +215,32 @@ func (rg *RemoteGraph) RunBatch(ctx context.Context, sources []int, opt msbfs.Op
 }
 
 // runOne drives a single k-wide batch: start on every shard, step the
-// level barrier until all frontiers drain (or MaxDepth is reached), fetch
-// each shard's per-level frontier log and replay it as visits and level
-// rows, then release the shards' state. When neither visit nor
-// RecordLevels consumes the answer, the fetch is skipped: VisitedStates
-// comes from the step replies alone. The query's flight record is
-// published on every return path, failed queries included.
+// level barrier until all frontiers drain (or MaxDepth is reached), then
+// release the shards' state. When visit or RecordLevels consumes the
+// answer, msgStart asks the shards for levels: the start replies carry
+// the seed level and every step reply that step's discoveries. The
+// barrier loop then runs on one supervised goroutine and hands each
+// level to this goroutine over a queue of replayQueue levels, and this
+// goroutine replays it as visits and level rows while the shards compute
+// the next levels. A replay error (or a visitor panic) stops the loop at
+// its next level boundary; a step error stops the replay at its next
+// level boundary; the loop has exited before runOne returns. Without a
+// consumer the loop runs inline and VisitedStates comes from the step
+// replies alone. The query's flight record is published on every return
+// path, failed queries included.
 func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int), res *msbfs.MultiResult) (err error) {
 	c := rg.c
 	c.met.Queries.Add(1)
 	qid := c.nextID.Add(1)
 	k := len(batch)
+	wantLevels := visit != nil || opt.RecordLevels
 
 	// A traced coordinator announces its trace id on msgStart; the shards
 	// then measure every step and piggyback the sub-phase times on the
 	// reply. Untraced queries send a zero id, which encodeStart encodes as
-	// zero extra bytes — the shards never read the clock for them.
+	// zero extra bytes when no levels are wanted (one zero byte before the
+	// levels flag otherwise) — the shards never read the clock for them.
 	tv := c.tracer.StartTraversal("cluster/ms-pbfs", k)
 	var traceID uint64
 	if tv != nil {
@@ -250,51 +270,154 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 		})
 	}()
 
+	seeds := make([][]byte, len(c.conns))
 	if err := c.fanOut(func(s int) error {
-		_, err := c.call(ctx, s, msgStart, encodeStart(qid, rg.name, batch, traceID))
+		out, err := c.call(ctx, s, msgStart, encodeStart(qid, rg.name, batch, traceID, wantLevels))
+		seeds[s] = out
 		return err
 	}); err != nil {
 		return err
 	}
 
-	// Level barrier. The sources seed level 0; iteration L discovers the
-	// level-L states. totalNext counts (vertex, source) states cluster-wide,
+	b := &barrier{rg: rg, qid: qid, k: k, maxDepth: opt.MaxDepth, tv: tv, traced: traceID != 0}
+	if !wantLevels {
+		if err := b.run(ctx, ctx, nil); err != nil {
+			return err
+		}
+		res.VisitedStates += b.visited
+		return nil
+	}
+
+	stop, cancel := context.WithCancel(ctx)
+	queue := make(chan [][]byte, replayQueue)
+	failed := make(chan struct{}) // closed when the loop fails; stepErr is then set
+	var stepErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(queue)
+		if stepErr = b.run(ctx, stop, queue); stepErr != nil {
+			close(failed)
+		}
+	}()
+	// Join the loop on every return path, a visitor panic included, so
+	// the flight record and the shards' state are released after it.
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+
+	var levels [][]int32
+	if opt.RecordLevels {
+		levels = res.Levels[batchOffset : batchOffset+k]
+		for i := range levels {
+			row := make([]int32, rg.n)
+			for v := range row {
+				row[v] = core.NoLevel
+			}
+			levels[i] = row
+		}
+	}
+	rp := newLevelReplay(rg.part, k, batchOffset, levels, visit)
+	if err := rp.replay(0, seeds); err != nil {
+		return err
+	}
+	for depth := 1; ; depth++ {
+		payloads, ok := <-queue
+		select {
+		case <-failed:
+			return stepErr
+		default:
+		}
+		if !ok {
+			break
+		}
+		if err := rp.replay(depth, payloads); err != nil {
+			return err
+		}
+	}
+	// VisitedStates counts (vertex, source) discoveries exactly as the
+	// in-process kernel does: one per batch slot at seed time plus every
+	// new state each level produced.
+	res.VisitedStates += b.visited
+	return nil
+}
+
+// barrier is one batch's level-synchronous step loop. The sources seed
+// level 0; iteration L discovers the level-L states. It records the
+// query's flight record and exchange metrics as it goes.
+type barrier struct {
+	rg       *RemoteGraph
+	qid      uint64
+	k        int
+	maxDepth int
+	tv       *obs.Traversal
+	traced   bool
+
+	// visited counts (vertex, source) states cluster-wide, seeds included:
 	// the same accounting the in-process kernel's heuristic uses.
-	totalNext := int64(k)
-	var visited int64 = int64(k)
+	visited int64
+}
+
+// run steps every shard until the frontiers drain or maxDepth is
+// reached. ctx bounds the step RPCs. A non-nil queue means the query
+// wants levels: each level's per-shard payloads are sent on it in shard
+// order. stop ends the loop at
+// a level boundary or while a send waits for queue space, never inside a
+// step. A failed step call abandons the level's other calls at once: a
+// lost shard would otherwise hold its peers at the barrier until their
+// step deadline. The query's msgEnd then aborts those steps shard-side.
+func (b *barrier) run(ctx, stop context.Context, queue chan<- [][]byte) error {
+	c := b.rg.c
+	totalNext := int64(b.k)
+	b.visited = int64(b.k)
 	level := 0
 	var steps []obs.ShardStep // per-shard scratch, reused across levels
-	if traceID != 0 {
+	if b.traced {
 		steps = make([]obs.ShardStep, len(c.conns))
 	}
 	for totalNext > 0 {
-		if opt.MaxDepth > 0 && level >= opt.MaxDepth {
+		if b.maxDepth > 0 && level >= b.maxDepth {
 			break
+		}
+		if err := stop.Err(); err != nil {
+			return err
 		}
 		level++
 		iterStart := time.Now()
 		frontier := totalNext
 		var nextSum, sentSum, rawSum atomic.Int64
-		stepPayload := encodeQueryRef(qid, uint64(level))
-		if err := c.fanOut(func(s int) error {
-			// Each fanOut goroutine writes only its own steps[s] element.
+		var payloads [][]byte
+		if queue != nil {
+			payloads = make([][]byte, len(c.conns))
+		}
+		stepPayload := encodeQueryRef(b.qid, uint64(level))
+		lctx, abandon := context.WithCancel(ctx)
+		err := c.fanOut(func(s int) error {
+			// Each fanOut goroutine writes only its own steps[s] and
+			// payloads[s] elements.
 			var reqSent time.Time
-			if traceID != 0 {
+			if b.traced {
 				steps[s] = obs.ShardStep{}
 				reqSent = time.Now()
 			}
-			out, err := c.call(ctx, s, msgStep, stepPayload)
+			out, err := c.call(lctx, s, msgStep, stepPayload)
+			if err != nil {
+				abandon()
+				return err
+			}
+			d, err := decodeStepDone(out, queue != nil)
 			if err != nil {
 				return err
 			}
-			d, err := decodeStepDone(out)
-			if err != nil {
-				return err
+			if payloads != nil {
+				payloads[s] = d.level
 			}
 			nextSum.Add(d.nextStates)
 			sentSum.Add(d.sentBytes)
 			rawSum.Add(d.rawBytes)
-			if traceID != 0 && d.trace != nil {
+			if b.traced && d.trace != nil {
 				steps[s] = obs.ShardStep{
 					Shard: s, Level: level,
 					ReqSent: reqSent, ReplyRecv: time.Now(),
@@ -308,133 +431,117 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 				}
 			}
 			return nil
-		}); err != nil {
+		})
+		abandon()
+		if err != nil {
 			return err
 		}
 		for _, st := range steps {
 			if !st.ReplyRecv.IsZero() {
-				tv.RecordShardStep(st)
+				b.tv.RecordShardStep(st)
 			}
 		}
 		totalNext = nextSum.Load()
-		visited += totalNext
+		b.visited += totalNext
 		c.met.FrontierBytes.Add(sentSum.Load())
 		c.met.FrontierRawBytes.Add(rawSum.Load())
-		tv.Record(obs.IterationRecord{
+		b.tv.Record(obs.IterationRecord{
 			Iteration:        level,
 			Reason:           "cluster/1d-exchange",
 			Frontier:         frontier,
 			Next:             totalNext,
-			Visited:          visited,
+			Visited:          b.visited,
 			Duration:         time.Since(iterStart),
 			ExchangeBytes:    sentSum.Load(),
 			ExchangeRawBytes: rawSum.Load(),
 		})
-	}
-
-	// VisitedStates counts (vertex, source) discoveries exactly as the
-	// in-process kernel does: one per batch slot at seed time plus every
-	// new state each level produced.
-	res.VisitedStates += visited
-	if visit == nil && !opt.RecordLevels {
-		return nil
-	}
-
-	// Fetch every shard's level log, then replay them on this goroutine.
-	replies := make([][]byte, len(c.conns))
-	if err := c.fanOut(func(s int) error {
-		out, err := c.call(ctx, s, msgResult, encodeQueryRef(qid))
-		replies[s] = out
-		return err
-	}); err != nil {
-		return err
-	}
-	var levels [][]int32
-	if opt.RecordLevels {
-		levels = res.Levels[batchOffset : batchOffset+k]
-		for i := range levels {
-			row := make([]int32, rg.n)
-			for v := range row {
-				row[v] = core.NoLevel
+		if queue != nil {
+			select {
+			case queue <- payloads:
+			case <-stop.Done():
+				return stop.Err()
 			}
-			levels[i] = row
 		}
 	}
-	return replayLevels(replies, rg.part, k, level, batchOffset, levels, visit)
+	return nil
 }
 
-// replayLevels validates the shards' msgResult replies for a k-wide batch
-// that ran steps barrier rounds over part, then expands them level by
-// level across the shards: every state (slot, vertex) first reached at
-// level L sets levels[slot][vertex] = L when levels is non-nil and calls
-// visit(0, batchOffset+slot, vertex, L) when visit is non-nil. Each level
-// payload is decoded into one reused scratch slab, which the walk clears
-// as it goes.
-//
-// A reply must carry exactly k slots, the shard's range length and
-// steps+1 levels, and every payload must decode within that shape with no
-// bit at a slot >= k. The bfsdebug build also rejects a state reported at
-// two levels.
-func replayLevels(replies [][]byte, part Partition, k, steps, batchOffset int, levels [][]int32,
-	visit func(workerID, sourceIdx, vertex, depth int)) error {
+// levelReplay expands a k-wide batch's levels, as the shards report
+// them, into visits and level rows: every state (slot, vertex) first
+// reached at level L sets levels[slot][vertex] = L when levels is non-nil
+// and calls visit(0, batchOffset+slot, vertex, L) when visit is non-nil.
+// Each shard's payload is decoded into one reused scratch slab, which the
+// walk clears as it goes.
+type levelReplay struct {
+	part        Partition
+	k, words    int
+	lastMask    uint64 // bits of a row's last word that belong to real slots
+	batchOffset int
+	levels      [][]int32
+	visit       func(workerID, sourceIdx, vertex, depth int)
+	scratch     []uint64
+	seen        []uint64 // bfsdebug: every state reported so far
+}
+
+func newLevelReplay(part Partition, k, batchOffset int, levels [][]int32,
+	visit func(workerID, sourceIdx, vertex, depth int)) *levelReplay {
 	words := (k + 63) / 64
-	// Bits of a row's last word that belong to real slots.
-	lastMask := ^uint64(0) >> (uint(-k) & 63)
-	logs := make([][][]byte, len(replies))
 	maxLen := 0
-	for s, out := range replies {
-		rlen := part.Len(s)
-		gotK, gotR, lv, err := decodeResultLevels(out)
-		if err != nil {
-			return fmt.Errorf("cluster: shard %d result: %w", s, err)
-		}
-		if gotK != k || gotR != rlen {
-			return fmt.Errorf("cluster: shard %d returned %d slots x %d vertices, want %dx%d", s, gotK, gotR, k, rlen)
-		}
-		if len(lv) != steps+1 {
-			return fmt.Errorf("cluster: shard %d returned %d levels after %d steps", s, len(lv), steps)
-		}
-		logs[s] = lv
-		maxLen = max(maxLen, rlen)
+	for s := 0; s < part.NumShards(); s++ {
+		maxLen = max(maxLen, part.Len(s))
 	}
-	scratch := make([]uint64, maxLen*words)
-	var seen []uint64
+	rp := &levelReplay{
+		part: part, k: k, words: words,
+		lastMask:    ^uint64(0) >> (uint(-k) & 63),
+		batchOffset: batchOffset, levels: levels, visit: visit,
+		scratch: make([]uint64, maxLen*words),
+	}
 	if debugInvariants {
-		seen = make([]uint64, part.N()*words)
+		rp.seen = make([]uint64, part.N()*words)
 	}
-	for depth := 0; depth <= steps; depth++ {
-		for s, lv := range logs {
-			lo, hi := part.Range(s)
-			slab := scratch[:(hi-lo)*words]
-			if err := decodeDelta(lv[depth], slab, hi-lo, words); err != nil {
-				return fmt.Errorf("cluster: shard %d level %d: %w", s, depth, err)
-			}
-			for v := 0; v < hi-lo; v++ {
-				row := slab[v*words : (v+1)*words]
-				for wi, w := range row {
-					if w == 0 {
-						continue
+	return rp
+}
+
+// replay validates and expands one level: payloads holds one delta-codec
+// payload per shard, in shard order. Each must decode as the shard's
+// range length x words states with no bit at a slot >= k. The bfsdebug
+// build also rejects a state reported at two levels.
+func (rp *levelReplay) replay(depth int, payloads [][]byte) error {
+	if len(payloads) != rp.part.NumShards() {
+		return fmt.Errorf("cluster: level %d has %d shard payloads, want %d", depth, len(payloads), rp.part.NumShards())
+	}
+	words, levels, visit, off := rp.words, rp.levels, rp.visit, rp.batchOffset
+	for s, payload := range payloads {
+		lo, hi := rp.part.Range(s)
+		slab := rp.scratch[:(hi-lo)*words]
+		if err := decodeDelta(payload, slab, hi-lo, words); err != nil {
+			return fmt.Errorf("cluster: shard %d level %d: %w", s, depth, err)
+		}
+		for v := 0; v < hi-lo; v++ {
+			row := slab[v*words : (v+1)*words]
+			for wi, w := range row {
+				if w == 0 {
+					continue
+				}
+				row[wi] = 0 //bfs:singlewriter the scratch slab is private to this replay
+				if wi == words-1 && w&^rp.lastMask != 0 {
+					return fmt.Errorf("cluster: shard %d level %d: vertex %d has slots beyond batch width %d", s, depth, lo+v, rp.k)
+				}
+				if debugInvariants {
+					i := (lo+v)*words + wi
+					if dup := rp.seen[i] & w; dup != 0 {
+						return fmt.Errorf("bfsdebug: cluster result: vertex %d reaches slot %d again at level %d",
+							lo+v, wi*64+bits.TrailingZeros64(dup), depth)
 					}
-					row[wi] = 0 //bfs:singlewriter the scratch slab is private to this call
-					if wi == words-1 && w&^lastMask != 0 {
-						return fmt.Errorf("cluster: shard %d level %d: vertex %d has slots beyond batch width %d", s, depth, lo+v, k)
+					rp.seen[i] |= w //bfs:singlewriter the seen slab is private to this replay
+				}
+				for b := w; b != 0; b &= b - 1 {
+					slot := wi*64 + bits.TrailingZeros64(b)
+					if levels != nil {
+						levels[slot][lo+v] = int32(depth)
 					}
-					if debugInvariants {
-						i := (lo+v)*words + wi
-						if dup := seen[i] & w; dup != 0 {
-							return fmt.Errorf("bfsdebug: cluster result: vertex %d reaches slot %d again at level %d",
-								lo+v, wi*64+bits.TrailingZeros64(dup), depth)
-						}
-						seen[i] |= w //bfs:singlewriter the seen slab is private to this call
-					}
-					for b := w; b != 0; b &= b - 1 {
-						slot := wi*64 + bits.TrailingZeros64(b)
-						if levels != nil {
-							levels[slot][lo+v] = int32(depth)
-						}
-						if visit != nil {
-							visit(0, batchOffset+slot, lo+v, depth)
-						}
+					if visit != nil {
+						visit(0, off+slot, lo+v, depth)
 					}
 				}
 			}

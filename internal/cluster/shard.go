@@ -85,20 +85,20 @@ type shardGraph struct {
 // shardQuery is the per-query traversal state on one shard.
 type shardQuery struct {
 	g     *shardGraph
-	k     int
 	words int
 
 	seen, cur, next *bitset.State // rlen x words, engine-borrowed
 	acc             []*bitset.State
 	accLo           []int
 
-	// levelLog is the query's answer in the delta codec: after seeding and
-	// after every apply phase, cur holds exactly the (vertex, slot) states
-	// first reached at that level, and its encoding is appended here.
-	// levelEnds[L] is where level L's payload ends. msgResult ships the
-	// log as is; the coordinator expands it into visits and level rows.
-	levelLog  []byte
-	levelEnds []int
+	// levels is set when the coordinator's msgStart asked for the answer.
+	// After seeding and after every apply phase, cur holds exactly the
+	// (vertex, slot) states first reached at that level; the start and
+	// step replies then carry its delta-codec encoding, which the
+	// coordinator expands into visits and level rows. levelBuf is the
+	// reused encode buffer (steps of one query never overlap).
+	levels   bool
+	levelBuf []byte
 
 	// shadows is the worker-owned scatter substrate for the local half of
 	// the step (same protocol as MSPBFSEngine): local-neighbor writes go
@@ -117,6 +117,14 @@ type shardQuery struct {
 	expectDeltas int
 
 	counters []stepCounter
+
+	// stepMu is held for the whole of a step and ended is closed by
+	// handleEnd. A step that starts after the end, or that waits at the
+	// barrier when it comes, fails; handleEnd takes stepMu before it
+	// releases the state, so a step the coordinator abandoned never runs
+	// on released arrays.
+	stepMu sync.Mutex
+	ended  chan struct{}
 
 	// traced is set when the coordinator's msgStart carried a trace id;
 	// every step then measures its sub-phases and piggybacks a stepTrace
@@ -293,11 +301,9 @@ func (s *Shard) handle(cw *connWriter, typ byte, id uint64, payload []byte) {
 	case msgLoad:
 		err = s.handleLoad(payload)
 	case msgStart:
-		err = s.handleStart(payload)
+		out, err = s.handleStart(payload)
 	case msgStep:
 		out, err = s.handleStep(payload)
-	case msgResult:
-		out, err = s.handleResult(payload)
 	case msgEnd:
 		err = s.handleEnd(payload)
 	case msgDrop:
@@ -406,10 +412,13 @@ func (s *Shard) handleDrop(payload []byte) error {
 	return nil
 }
 
-func (s *Shard) handleStart(payload []byte) error {
+// handleStart seeds a query's state. When the query wants levels the
+// reply is the seeded frontier (level 0) in the delta codec; otherwise it
+// is empty.
+func (s *Shard) handleStart(payload []byte) ([]byte, error) {
 	m, err := decodeStart(payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	qid := m.qid
 	s.mu.Lock()
@@ -417,29 +426,31 @@ func (s *Shard) handleStart(payload []byte) error {
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return errors.New(errShardClosing)
+		return nil, errors.New(errShardClosing)
 	}
 	if g == nil {
-		return fmt.Errorf("graph %q not loaded", m.name)
+		return nil, fmt.Errorf("graph %q not loaded", m.name)
 	}
 	k := len(m.sources)
 	if k < 1 || k > maxBatchSources {
-		return fmt.Errorf("batch width %d out of range [1,%d]", k, maxBatchSources)
+		return nil, fmt.Errorf("batch width %d out of range [1,%d]", k, maxBatchSources)
 	}
 	words := (k + 63) / 64
 	n := g.part.N()
 	for _, src := range m.sources {
 		if src < 0 || src >= n {
-			return fmt.Errorf("source %d out of range [0,%d)", src, n)
+			return nil, fmt.Errorf("source %d out of range [0,%d)", src, n)
 		}
 	}
 
 	q := &shardQuery{
-		g: g, k: k, words: words,
+		g: g, words: words,
 		acc:    make([]*bitset.State, g.part.NumShards()),
 		accLo:  make([]int, g.part.NumShards()),
 		inbox:  make(chan *deltaMsg, g.part.NumShards()),
+		ended:  make(chan struct{}),
 		traced: m.traceID != 0,
+		levels: m.levels,
 	}
 	if q.traced {
 		// StartTraversal is nil-safe: without a shard-local Tracer the
@@ -480,7 +491,7 @@ func (s *Shard) handleStart(payload []byte) error {
 
 	// Seed the slots this shard owns: source at depth 0, already seen,
 	// already in the current frontier — the same seeding MS-PBFS does.
-	// The seeded frontier is level 0 of the log.
+	// The seeded frontier is level 0 of the answer.
 	for i, src := range m.sources {
 		if src >= g.lo && src < g.hi {
 			v := src - g.lo
@@ -488,7 +499,10 @@ func (s *Shard) handleStart(payload []byte) error {
 			q.cur.Set(v, i)
 		}
 	}
-	q.logLevel()
+	var out []byte
+	if q.levels {
+		out = encodeDelta(nil, q.cur.Words(), g.rlen, words)
+	}
 
 	s.mu.Lock()
 	var regErr error
@@ -505,8 +519,9 @@ func (s *Shard) handleStart(payload []byte) error {
 	s.mu.Unlock()
 	if regErr != nil {
 		s.releaseQuery(q)
+		return nil, regErr
 	}
-	return regErr
+	return out, nil
 }
 
 func (s *Shard) getQuery(qid uint64) (*shardQuery, error) {
@@ -523,8 +538,8 @@ func (s *Shard) getQuery(qid uint64) (*shardQuery, error) {
 // scan the owned frontier into the local next state and the per-peer
 // delta accumulators, stream the encoded deltas to the peers, absorb the
 // peers' inbound deltas, then apply: new = next &^ seen, fold into seen,
-// promote to the current frontier, and append the new frontier to the
-// level log.
+// promote to the current frontier, and, when the query wants levels,
+// encode the new frontier onto the reply.
 //
 // When the query is traced each phase boundary stamps the monotonic clock
 // into a stepTrace that rides back on the reply; untraced queries take
@@ -544,6 +559,13 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 	q, err := s.getQuery(qid)
 	if err != nil {
 		return nil, err
+	}
+	q.stepMu.Lock()
+	defer q.stepMu.Unlock()
+	select {
+	case <-q.ended:
+		return nil, fmt.Errorf("query %d ended", qid)
+	default:
 	}
 	g := q.g
 
@@ -692,13 +714,15 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 					level, got, q.expectDeltas, s.opt.StepTimeout)
 			case <-s.closedCh:
 				return nil, errors.New(errShardClosing)
+			case <-q.ended:
+				return nil, fmt.Errorf("query %d ended during level %d", qid, level)
 			}
 		}
 	}
 
 	// Phase 4: apply. Ranges are disjoint so plain word ops suffice. The
-	// new frontier is exactly this level's discoveries; one serial encode
-	// pass appends it to the level log.
+	// new frontier is exactly this level's discoveries; when the query
+	// wants levels, one serial encode pass puts it on the reply.
 	var nextStates int64
 	if g.rlen > 0 {
 		for w := range q.counters {
@@ -722,11 +746,14 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 			nextStates += q.counters[w].v
 		}
 	}
-	q.logLevel()
 	d := stepDone{
 		nextStates: nextStates,
 		sentBytes:  sentBytes,
 		rawBytes:   rawTotal,
+	}
+	if q.levels {
+		q.levelBuf = encodeDelta(q.levelBuf[:0], q.cur.Words(), g.rlen, q.words)
+		d.level = q.levelBuf
 	}
 	if tr != nil {
 		now := time.Now()
@@ -750,28 +777,10 @@ func (s *Shard) peerFor(p int) *peerLink {
 	return s.peers[p]
 }
 
-func (s *Shard) handleResult(payload []byte) ([]byte, error) {
-	r := &wireReader{b: payload}
-	qid, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	q, err := s.getQuery(qid)
-	if err != nil {
-		return nil, err
-	}
-	return encodeResultLevels(q.k, q.g.rlen, q.levelLog, q.levelEnds), nil
-}
-
-// logLevel appends the current frontier — the states first reached at the
-// level just finished — to the query's level log.
-func (q *shardQuery) logLevel() {
-	q.levelLog = encodeDelta(q.levelLog, q.cur.Words(), q.g.rlen, q.words)
-	q.levelEnds = append(q.levelEnds, len(q.levelLog))
-}
-
-// handleEnd releases a query's engine-held state. Ending an unknown query
-// succeeds: the coordinator tears queries down best-effort after errors.
+// handleEnd releases a query's engine-held state, after aborting a step
+// that waits at the barrier and waiting out one that is still running.
+// Ending an unknown query succeeds: the coordinator tears queries down
+// best-effort after errors.
 func (s *Shard) handleEnd(payload []byte) error {
 	r := &wireReader{b: payload}
 	qid, err := r.uvarint()
@@ -783,7 +792,10 @@ func (s *Shard) handleEnd(payload []byte) error {
 	delete(s.queries, qid)
 	s.mu.Unlock()
 	if q != nil {
+		close(q.ended)
+		q.stepMu.Lock()
 		s.releaseQuery(q)
+		q.stepMu.Unlock()
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -125,9 +126,10 @@ func TestTracedClusterMatchesUntraced(t *testing.T) {
 }
 
 // TestUntracedWireBytesUnchanged pins the zero-cost-when-off wire
-// contract: without a trace id the msgStart payload is byte-identical to
-// the pre-tracing layout, and an untraced step reply carries exactly the
-// three legacy counters.
+// contract: without a trace id or a levels request the msgStart payload
+// is byte-identical to the pre-tracing layout, and an untraced, level-less
+// step reply carries exactly the three legacy counters. The level
+// section sits between the counters and the trace tail.
 func TestUntracedWireBytesUnchanged(t *testing.T) {
 	sources := []int{3, 64, 4095}
 
@@ -138,10 +140,10 @@ func TestUntracedWireBytesUnchanged(t *testing.T) {
 	for _, s := range sources {
 		legacy = binary.AppendUvarint(legacy, uint64(s))
 	}
-	if got := encodeStart(42, "g", sources, 0); !bytes.Equal(got, legacy) {
+	if got := encodeStart(42, "g", sources, 0, false); !bytes.Equal(got, legacy) {
 		t.Errorf("untraced encodeStart = %x, want legacy %x", got, legacy)
 	}
-	traced := encodeStart(42, "g", sources, 99)
+	traced := encodeStart(42, "g", sources, 99, false)
 	if len(traced) <= len(legacy) {
 		t.Errorf("traced encodeStart is %d bytes, legacy %d: trace id missing", len(traced), len(legacy))
 	}
@@ -162,7 +164,7 @@ func TestUntracedWireBytesUnchanged(t *testing.T) {
 	if got := encodeStepDone(plain); !bytes.Equal(got, legacyDone) {
 		t.Errorf("untraced encodeStepDone = %x, want legacy %x", got, legacyDone)
 	}
-	d, err := decodeStepDone(legacyDone)
+	d, err := decodeStepDone(legacyDone, false)
 	if err != nil || d.trace != nil {
 		t.Errorf("decodeStepDone(legacy): trace=%v err=%v, want nil trace", d.trace, err)
 	}
@@ -170,12 +172,48 @@ func TestUntracedWireBytesUnchanged(t *testing.T) {
 	withTrace := plain
 	withTrace.trace = &stepTrace{scanNanos: 1, encodeNanos: 2, sendNanos: 3,
 		waitNanos: 4, decodeNanos: 5, applyNanos: 6}
-	d, err = decodeStepDone(encodeStepDone(withTrace))
+	d, err = decodeStepDone(encodeStepDone(withTrace), false)
 	if err != nil || d.trace == nil {
 		t.Fatalf("decodeStepDone(traced): trace=%v err=%v", d.trace, err)
 	}
 	if *d.trace != *withTrace.trace {
 		t.Errorf("step trace round-trip = %+v, want %+v", *d.trace, *withTrace.trace)
+	}
+
+	// The levels request: an untraced start carries a zero trace id and
+	// then the 1 flag; a traced one its trace id and then the flag.
+	wantLevels := append(binary.AppendUvarint(append([]byte{}, legacy...), 0), 1)
+	if got := encodeStart(42, "g", sources, 0, true); !bytes.Equal(got, wantLevels) {
+		t.Errorf("untraced levels encodeStart = %x, want %x", got, wantLevels)
+	}
+	for _, traceID := range []uint64{0, 99} {
+		m, err := decodeStart(encodeStart(42, "g", sources, traceID, true))
+		if err != nil || m.traceID != traceID || !m.levels {
+			t.Errorf("decodeStart(levels, trace %d) = %+v, %v", traceID, m, err)
+		}
+	}
+	if _, err := decodeStart(append(binary.AppendUvarint(append([]byte{}, legacy...), 0), 2)); err == nil {
+		t.Error("decodeStart accepted a levels flag of 2")
+	}
+
+	// The level section: a uvarint length and the payload after the
+	// counters, then the trace tail when there is one.
+	level := []byte{codecSparse, 0}
+	withLevel := plain
+	withLevel.level = level
+	wantDone := append(append(append([]byte{}, legacyDone...), byte(len(level))), level...)
+	if got := encodeStepDone(withLevel); !bytes.Equal(got, wantDone) {
+		t.Errorf("level encodeStepDone = %x, want %x", got, wantDone)
+	}
+	for _, tr := range []*stepTrace{nil, withTrace.trace} {
+		withLevel.trace = tr
+		d, err := decodeStepDone(encodeStepDone(withLevel), true)
+		if err != nil || !bytes.Equal(d.level, level) || !reflect.DeepEqual(d.trace, tr) {
+			t.Errorf("decodeStepDone(level, trace %v) = level %x trace %v, %v", tr, d.level, d.trace, err)
+		}
+	}
+	if _, err := decodeStepDone(wantDone[:len(wantDone)-1], true); err == nil {
+		t.Error("decodeStepDone accepted a truncated level section")
 	}
 }
 

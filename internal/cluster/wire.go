@@ -25,12 +25,11 @@ import (
 
 const (
 	// Coordinator → shard requests.
-	msgLoad   = 0x01 // load a graph slice: see encodeLoad
-	msgStart  = 0x02 // begin a query: graph name, k sources
-	msgStep   = 0x03 // run one BFS level
-	msgResult = 0x04 // fetch the query's per-level frontier log
-	msgEnd    = 0x05 // release the query's state
-	msgDrop   = 0x06 // unload a graph
+	msgLoad  = 0x01 // load a graph slice: see encodeLoad
+	msgStart = 0x02 // begin a query: graph name, k sources
+	msgStep  = 0x03 // run one BFS level
+	msgEnd   = 0x05 // release the query's state
+	msgDrop  = 0x06 // unload a graph
 
 	// Shard → shard.
 	msgDelta = 0x10 // delta frontier: fromShard, level, codec payload
@@ -265,19 +264,24 @@ func decodeLoad(payload []byte) (*loadMsg, error) {
 // query-scoped message), the target graph, and the batch's global source
 // vertices in slot order (slot i drives bit i of the k-wide state).
 //
-// traceID is an optional trailing field: a traced coordinator appends its
-// nonzero flight-record trace id and the shard answers every msgStep with
-// a piggybacked stepTrace section. An untraced coordinator appends
-// nothing, so the untraced encoding is byte-identical to the pre-tracing
-// wire format and old/new peers interoperate.
+// Two optional trailing fields follow the sources. traceID: a traced
+// coordinator appends its nonzero flight-record trace id and the shard
+// answers every msgStep with a piggybacked stepTrace section. levels: a
+// coordinator that consumes the answer (a visitor or RecordLevels)
+// appends a 1 after the trace id (a zero trace id when untraced), and the
+// shard then ships every level's discoveries on its start and step
+// replies. A coordinator that wants neither appends nothing, so that
+// encoding is byte-identical to the pre-tracing wire format and old/new
+// peers interoperate.
 type startMsg struct {
 	qid     uint64
 	name    string
 	sources []int
 	traceID uint64
+	levels  bool
 }
 
-func encodeStart(qid uint64, name string, sources []int, traceID uint64) []byte {
+func encodeStart(qid uint64, name string, sources []int, traceID uint64, levels bool) []byte {
 	dst := make([]byte, 0, len(name)+24+len(sources)*4)
 	dst = binary.AppendUvarint(dst, qid)
 	dst = appendStr(dst, name)
@@ -285,8 +289,11 @@ func encodeStart(qid uint64, name string, sources []int, traceID uint64) []byte 
 	for _, s := range sources {
 		dst = binary.AppendUvarint(dst, uint64(s))
 	}
-	if traceID != 0 {
+	if traceID != 0 || levels {
 		dst = binary.AppendUvarint(dst, traceID)
+	}
+	if levels {
+		dst = append(dst, 1)
 	}
 	return dst
 }
@@ -316,12 +323,21 @@ func decodeStart(payload []byte) (*startMsg, error) {
 			return nil, err
 		}
 	}
+	if len(r.b) > 0 {
+		flag, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if flag > 1 {
+			return nil, fmt.Errorf("cluster: levels flag %d is not 0 or 1", flag)
+		}
+		m.levels = flag == 1
+	}
 	return m, r.done()
 }
 
 // encodeQueryRef builds the payload of the query-scoped requests that
-// carry only the query id (msgResult, msgEnd) or the id plus the level
-// (msgStep).
+// carry only the query id (msgEnd) or the id plus the level (msgStep).
 func encodeQueryRef(qid uint64, extra ...uint64) []byte {
 	dst := binary.AppendUvarint(make([]byte, 0, 16), qid)
 	for _, v := range extra {
@@ -334,15 +350,22 @@ func encodeQueryRef(qid uint64, extra ...uint64) []byte {
 // source) states entered the shard's next frontier, and the exchange
 // volume the shard sent this level (encoded vs raw bitset bytes).
 //
-// trace is the optional piggybacked distributed-tracing section: when the
-// query's msgStart carried a trace id, the shard appends its sub-phase
-// wall times so the coordinator can reconstruct one clock-aligned
-// per-shard timeline. Untraced replies append nothing — the encoding is
-// byte-identical to the pre-tracing format.
+// level is the optional level section: when the query's msgStart asked
+// for levels, the reply carries a uvarint length and the delta-codec
+// payload of the rlen x words states first reached at this level (the
+// shard's new frontier). A nil level appends nothing.
+//
+// trace is the optional piggybacked distributed-tracing section, after
+// the level section: when the query's msgStart carried a trace id, the
+// shard appends its sub-phase wall times so the coordinator can
+// reconstruct one clock-aligned per-shard timeline. Untraced, level-less
+// replies append nothing — the encoding is byte-identical to the
+// pre-tracing format.
 type stepDone struct {
 	nextStates int64
 	sentBytes  int64
 	rawBytes   int64
+	level      []byte
 	trace      *stepTrace
 }
 
@@ -357,14 +380,18 @@ type stepTrace struct {
 	sendNanos   uint64 // phase 2b: concurrent peer-link sends (wall)
 	waitNanos   uint64 // phase 3: barrier wait for inbound peer deltas
 	decodeNanos uint64 // phase 3: inbound delta decode + OR into next
-	applyNanos  uint64 // phase 4: next &^ seen fold + level-log encode
+	applyNanos  uint64 // phase 4: next &^ seen fold + level encode
 }
 
 func encodeStepDone(d stepDone) []byte {
-	dst := make([]byte, 0, 9*binary.MaxVarintLen64)
+	dst := make([]byte, 0, 10*binary.MaxVarintLen64+len(d.level))
 	dst = binary.AppendUvarint(dst, uint64(d.nextStates))
 	dst = binary.AppendUvarint(dst, uint64(d.sentBytes))
 	dst = binary.AppendUvarint(dst, uint64(d.rawBytes))
+	if d.level != nil {
+		dst = binary.AppendUvarint(dst, uint64(len(d.level)))
+		dst = append(dst, d.level...)
+	}
 	if d.trace != nil {
 		dst = binary.AppendUvarint(dst, d.trace.scanNanos)
 		dst = binary.AppendUvarint(dst, d.trace.encodeNanos)
@@ -376,7 +403,10 @@ func encodeStepDone(d stepDone) []byte {
 	return dst
 }
 
-func decodeStepDone(payload []byte) (stepDone, error) {
+// decodeStepDone parses a msgStep reply. withLevel says whether the
+// query asked for levels, i.e. whether the level section is present; the
+// section aliases payload and is validated when it is replayed.
+func decodeStepDone(payload []byte, withLevel bool) (stepDone, error) {
 	r := &wireReader{b: payload}
 	var d stepDone
 	v, err := r.uvarint()
@@ -392,6 +422,15 @@ func decodeStepDone(payload []byte) (stepDone, error) {
 		return d, err
 	}
 	d.rawBytes = int64(v)
+	if withLevel {
+		n, err := r.intv()
+		if err != nil {
+			return d, err
+		}
+		if d.level, err = r.bytes(n); err != nil {
+			return d, err
+		}
+	}
 	if len(r.b) > 0 {
 		tr := &stepTrace{}
 		for _, f := range []*uint64{&tr.scanNanos, &tr.encodeNanos, &tr.sendNanos,
@@ -432,51 +471,4 @@ func decodeDelta32(payload []byte) (*deltaMsg, error) {
 	}
 	m.delta = r.b
 	return m, nil
-}
-
-// The msgResult reply carries one shard's answer as its level log: k and
-// rlen for validation, the level count (the seeds' level 0 plus one per
-// step the shard ran), then per level a uvarint length and the delta-codec
-// payload of the rlen x words states first reached at that level.
-func encodeResultLevels(k, rlen int, log []byte, ends []int) []byte {
-	dst := make([]byte, 0, (3+len(ends))*binary.MaxVarintLen64+len(log))
-	dst = binary.AppendUvarint(dst, uint64(k))
-	dst = binary.AppendUvarint(dst, uint64(rlen))
-	dst = binary.AppendUvarint(dst, uint64(len(ends)))
-	start := 0
-	for _, end := range ends {
-		dst = binary.AppendUvarint(dst, uint64(end-start))
-		dst = append(dst, log[start:end]...)
-		start = end
-	}
-	return dst
-}
-
-// decodeResultLevels splits a msgResult reply into its header and the
-// per-level codec payloads, which alias payload. The payloads themselves
-// are validated when they are decoded.
-func decodeResultLevels(payload []byte) (k, rlen int, levels [][]byte, err error) {
-	r := &wireReader{b: payload}
-	if k, err = r.intv(); err != nil {
-		return 0, 0, nil, err
-	}
-	if rlen, err = r.intv(); err != nil {
-		return 0, 0, nil, err
-	}
-	// Every level costs at least a length byte and a codec header byte.
-	count, err := r.count(2)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	levels = make([][]byte, count)
-	for i := range levels {
-		n, err := r.intv()
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		if levels[i], err = r.bytes(n); err != nil {
-			return 0, 0, nil, err
-		}
-	}
-	return k, rlen, levels, r.done()
 }

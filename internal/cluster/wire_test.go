@@ -2,135 +2,159 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 	"reflect"
 	"testing"
 )
 
-// validResult builds a well-formed msgResult reply for a k-wide batch over
-// n vertices that ran steps barrier rounds: each level's states come from
-// raw (via buildWords), masked to the k real slots and to states no
-// earlier level reported. It returns the reply and the states per level.
-func validResult(raw []byte, n, k, steps int) ([]byte, [][]uint64) {
+// validLevel builds one level's states for a k-wide batch over n
+// vertices from raw (via buildWords), masked to the k real slots.
+func validLevel(raw []byte, n, k int) []uint64 {
 	words := (k + 63) / 64
 	lastMask := ^uint64(0) >> (uint(-k) & 63)
-	seen := make([]uint64, n*words)
-	var log []byte
-	var ends []int
-	states := make([][]uint64, steps+1)
-	for depth := range states {
-		lv := buildWords(append([]byte{byte(depth)}, raw...), n, words)
-		for i := range lv {
-			if i%words == words-1 {
-				lv[i] &= lastMask
-			}
-			lv[i] &^= seen[i]
-			seen[i] |= lv[i]
-		}
-		states[depth] = lv
-		log = encodeDelta(log, lv, n, words)
-		ends = append(ends, len(log))
+	states := buildWords(raw, n, words)
+	for i := words - 1; i < len(states); i += words {
+		states[i] &= lastMask
 	}
-	return encodeResultLevels(k, n, log, ends), states
+	return states
+}
+
+// levelPayloads encodes an n x words slab of one level's states as the
+// shards of part report it: one delta-codec payload per shard, in shard
+// order.
+func levelPayloads(states []uint64, part Partition, words int) [][]byte {
+	out := make([][]byte, part.NumShards())
+	for s := range out {
+		lo, hi := part.Range(s)
+		out[s] = encodeDelta(nil, states[lo*words:hi*words], hi-lo, words)
+	}
+	return out
+}
+
+// withPayload returns a copy of payloads with shard s's payload replaced.
+func withPayload(payloads [][]byte, s int, p []byte) [][]byte {
+	out := append([][]byte{}, payloads...)
+	out[s] = p
+	return out
 }
 
 func TestReplayLevelsRejectsMalformed(t *testing.T) {
-	const n, k, steps = 100, 70, 2
-	part := MakePartition(n, 1)
-	good, _ := validResult([]byte{0x11, 0x80}, n, k, steps)
-	if err := replayLevels([][]byte{good}, part, k, steps, 0, nil, nil); err != nil {
-		t.Fatalf("well-formed reply rejected: %v", err)
+	const n, k = 100, 70
+	part := MakePartition(n, 2)
+	good := levelPayloads(validLevel([]byte{0x11, 0x80}, n, k), part, 2)
+	if err := newLevelReplay(part, k, 0, nil, nil).replay(0, good); err != nil {
+		t.Fatalf("well-formed level rejected: %v", err)
 	}
 	// Slot 70 is the first bit beyond the batch: word 1, bit 6.
-	words := make([]uint64, n*2)
-	words[2*5+1] = 1 << 6
-	var log []byte
-	var ends []int
-	for depth := 0; depth <= steps; depth++ {
-		if depth == 1 {
-			log = encodeDelta(log, words, n, 2)
-		} else {
-			log = encodeDelta(log, make([]uint64, n*2), n, 2)
-		}
-		ends = append(ends, len(log))
+	beyond := make([]uint64, n*2)
+	beyond[2*5+1] = 1 << 6
+	// A state one row past shard 1's range.
+	lo, hi := part.Range(1)
+	past := make([]uint64, (hi-lo+1)*2)
+	past[(hi-lo)*2] = 1
+	cases := map[string][][]byte{
+		"no shards":       nil,
+		"too few shards":  good[:1],
+		"too many shards": append(append([][]byte{}, good...), good[1]),
+		"empty payload":   withPayload(good, 0, []byte{}),
+		"truncated":       withPayload(good, 1, good[1][:len(good[1])-1]),
+		"trailing":        withPayload(good, 0, append(append([]byte{}, good[0]...), 0)),
+		"wrong rlen":      withPayload(good, 1, encodeDelta(nil, past, hi-lo+1, 2)),
+		"slot beyond k":   levelPayloads(beyond, part, 2),
+		"bad codec byte":  withPayload(good, 0, []byte{0x7f}),
+		"huge count":      withPayload(good, 0, []byte{codecSparse, 0xff, 0xff, 0xff, 0xff, 0x0f}),
 	}
-	cases := map[string][]byte{
-		"empty":          {},
-		"truncated":      good[:len(good)-1],
-		"trailing":       append(append([]byte{}, good...), 0),
-		"wrong k":        encodeResultLevels(k+1, n, nil, nil),
-		"wrong rlen":     encodeResultLevels(k, n-1, nil, nil),
-		"too few levels": encodeResultLevels(k, n, log, ends[:steps]),
-		"too many levels": encodeResultLevels(k, n, append(append([]byte{}, log...), log[:ends[0]]...),
-			append(append([]int{}, ends...), len(log)+ends[0])),
-		"slot beyond k":  encodeResultLevels(k, n, log, ends),
-		"huge count":     {70, 100, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"bad codec byte": encodeResultLevels(k, n, []byte{0x7f, 0x7f, 0x7f}, []int{1, 2, 3}),
-	}
-	for name, payload := range cases {
-		if err := replayLevels([][]byte{payload}, part, k, steps, 0, nil, nil); err == nil {
-			t.Errorf("%s: replay accepted a malformed reply", name)
+	for name, payloads := range cases {
+		if err := newLevelReplay(part, k, 0, nil, nil).replay(1, payloads); err == nil {
+			t.Errorf("%s: replay accepted a malformed level", name)
 		}
 	}
 }
 
-// FuzzResultLevels fuzzes the msgResult reply and the coordinator's
-// validation of it. A reply built from raw must replay to exactly its
-// states, each at its level; raw itself as a hostile reply must be
-// rejected or replay only in-range (slot, vertex, depth) triples, without
-// panicking or sizing allocations from its contents.
-func FuzzResultLevels(f *testing.F) {
-	f.Add([]byte{}, 64, 64, 0)
+// FuzzReplayLevel fuzzes the coordinator's validation of one level as
+// the shards report it, one payload per shard. A level built from raw
+// must replay to exactly its states; the same level with the wrong shard
+// count, a bit at a slot >= k, or any shard's payload truncated or
+// followed by a trailing byte must be rejected; raw itself, split across
+// the shards as hostile payloads, must be rejected or replay only
+// in-range (slot, vertex, depth) triples, without panicking or sizing
+// allocations from its contents.
+func FuzzReplayLevel(f *testing.F) {
+	f.Add([]byte{}, 64, 64, 1)
 	f.Add([]byte{0x01, 0x80}, 100, 70, 2)
 	f.Add([]byte{0xff}, 33, 511, 3)
-	good, _ := validResult([]byte{0x42}, 20, 5, 1)
-	f.Add(good, 20, 5, 1)
-	f.Fuzz(func(t *testing.T, raw []byte, n, k, steps int) {
+	f.Add([]byte{codecSparse, 1, 5, 1, 0x2a, 0, 0, 0, 0, 0, 0, 0}, 190, 5, 4)
+	f.Fuzz(func(t *testing.T, raw []byte, n, k, shards int) {
+		const depth = 3
 		n = ((n % 257) + 257) % 257
 		k = ((k%maxBatchSources)+maxBatchSources)%maxBatchSources + 1
-		steps = ((steps % 6) + 6) % 6
+		shards = ((shards%4)+4)%4 + 1
 		words := (k + 63) / 64
-		part := MakePartition(n, 1)
+		part := MakePartition(n, shards)
 		levels := make([][]int32, k)
 		for i := range levels {
 			levels[i] = make([]int32, n)
 		}
 
-		reply, states := validResult(raw, n, k, steps)
+		states := validLevel(raw, n, k)
+		good := levelPayloads(states, part, words)
 		want := 0
-		for _, lv := range states {
-			for _, w := range lv {
-				want += bits.OnesCount64(w)
-			}
+		for _, w := range states {
+			want += bits.OnesCount64(w)
 		}
 		got := 0
-		err := replayLevels([][]byte{reply}, part, k, steps, 0, levels, func(_, slot, v, depth int) {
-			if states[depth][v*words+slot/64]>>(slot%64)&1 == 0 {
-				t.Fatalf("visit(%d,%d,%d) is not a state of that level", slot, v, depth)
+		err := newLevelReplay(part, k, 0, levels, func(_, slot, v, d int) {
+			if d != depth || states[v*words+slot/64]>>(slot%64)&1 == 0 {
+				t.Fatalf("visit(%d,%d,%d) is not a state of the level", slot, v, d)
 			}
-			if levels[slot][v] != int32(depth) {
+			if levels[slot][v] != depth {
 				t.Fatalf("levels[%d][%d]=%d during visit at depth %d", slot, v, levels[slot][v], depth)
 			}
 			got++
-		})
+		}).replay(depth, good)
 		if err != nil {
-			t.Fatalf("well-formed reply rejected: %v", err)
+			t.Fatalf("well-formed level rejected: %v", err)
 		}
 		if got != want {
-			t.Fatalf("replayed %d visits, reply holds %d states", got, want)
+			t.Fatalf("replayed %d visits, level holds %d states", got, want)
 		}
 
-		_ = replayLevels([][]byte{raw}, part, k, steps, 0, levels, func(w, slot, v, depth int) {
-			if w != 0 || slot < 0 || slot >= k || v < 0 || v >= n || depth < 0 || depth > steps {
-				t.Fatalf("hostile reply replayed visit(%d,%d,%d,%d)", w, slot, v, depth)
+		reject := func(what string, payloads [][]byte) {
+			t.Helper()
+			if err := newLevelReplay(part, k, 0, nil, nil).replay(depth, payloads); err == nil {
+				t.Fatalf("replay accepted %s", what)
 			}
-		})
+		}
+		reject("one payload too few", good[:shards-1])
+		reject("one payload too many", append(append([][]byte{}, good...), good[0]))
+		for s, p := range good {
+			reject(fmt.Sprintf("shard %d truncated", s), withPayload(good, s, p[:len(p)-1]))
+			reject(fmt.Sprintf("shard %d with a trailing byte", s), withPayload(good, s, append(append([]byte{}, p...), 0)))
+		}
+		if k%64 != 0 && n > 0 {
+			beyond := append([]uint64{}, states...)
+			beyond[(len(raw)%n)*words+words-1] |= 1 << (k % 64)
+			reject("a slot beyond k", levelPayloads(beyond, part, words))
+		}
+
+		hostile := make([][]byte, shards)
+		for s := range hostile {
+			hostile[s] = raw[s*len(raw)/shards : (s+1)*len(raw)/shards]
+		}
+		_ = newLevelReplay(part, k, 0, levels, func(w, slot, v, d int) {
+			if w != 0 || slot < 0 || slot >= k || v < 0 || v >= n || d != depth {
+				t.Fatalf("hostile level replayed visit(%d,%d,%d,%d)", w, slot, v, d)
+			}
+		}).replay(depth, hostile)
 	})
 }
 
 func FuzzDecodeStart(f *testing.F) {
-	f.Add(encodeStart(1, "g", []int{0, 5, 1 << 20}, 0))
-	f.Add(encodeStart(7, "demo", []int{3}, 99))
+	f.Add(encodeStart(1, "g", []int{0, 5, 1 << 20}, 0, false))
+	f.Add(encodeStart(7, "demo", []int{3}, 99, false))
+	f.Add(encodeStart(8, "demo", []int{3, 4}, 0, true))
+	f.Add(encodeStart(9, "demo", []int{3, 4}, 99, true))
 	f.Add([]byte{1, 1, 'g', 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := decodeStart(payload)
@@ -140,25 +164,36 @@ func FuzzDecodeStart(f *testing.F) {
 		if len(m.sources) > len(payload) {
 			t.Fatalf("%d sources from a %d-byte payload", len(m.sources), len(payload))
 		}
-		again, err := decodeStart(encodeStart(m.qid, m.name, m.sources, m.traceID))
+		again, err := decodeStart(encodeStart(m.qid, m.name, m.sources, m.traceID, m.levels))
 		if err != nil || !reflect.DeepEqual(again, m) {
 			t.Fatalf("re-encoded start decodes to %+v, %v; want %+v", again, err, m)
 		}
 	})
 }
 
+// FuzzDecodeStepDone decodes each input both as a level-less reply and
+// as one carrying the level section; whatever decodes must re-encode to
+// a reply that decodes the same way.
 func FuzzDecodeStepDone(f *testing.F) {
 	f.Add(encodeStepDone(stepDone{nextStates: 7, sentBytes: 100, rawBytes: 300}))
 	f.Add(encodeStepDone(stepDone{nextStates: 1, trace: &stepTrace{1, 2, 3, 4, 5, 6}}))
 	f.Add([]byte{1, 2, 3, 4})
+	f.Add(encodeStepDone(stepDone{nextStates: 2, sentBytes: 9, rawBytes: 64, level: []byte{codecSparse, 0}}))
+	f.Add(encodeStepDone(stepDone{nextStates: 2, level: []byte{codecDense, 0xff, 0, 0, 0, 0, 0, 0, 0},
+		trace: &stepTrace{1, 2, 3, 4, 5, 6}}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		d, err := decodeStepDone(payload)
-		if err != nil {
-			return
-		}
-		again, err := decodeStepDone(encodeStepDone(d))
-		if err != nil || !reflect.DeepEqual(again, d) {
-			t.Fatalf("re-encoded step reply decodes to %+v, %v; want %+v", again, err, d)
+		for _, withLevel := range []bool{false, true} {
+			d, err := decodeStepDone(payload, withLevel)
+			if err != nil {
+				continue
+			}
+			if (d.level != nil) != withLevel {
+				t.Fatalf("withLevel=%v decoded level %x", withLevel, d.level)
+			}
+			again, err := decodeStepDone(encodeStepDone(d), withLevel)
+			if err != nil || !reflect.DeepEqual(again, d) {
+				t.Fatalf("re-encoded step reply decodes to %+v, %v; want %+v", again, err, d)
+			}
 		}
 	})
 }

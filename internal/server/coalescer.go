@@ -463,13 +463,13 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 	for _, p := range batch {
 		if err := p.ctx.Err(); err != nil {
 			releaseSnap(p)
-			p.done <- outcome{err: err}
 			wait := now.Sub(p.enqueued)
 			c.cfg.Recorder.Record(RequestRecord{
 				TraceID: p.traceID, Graph: c.cfg.Graph, Kind: string(p.q.Kind),
 				Source: p.q.Source, Status: "canceled", Start: p.enqueued,
 				WaitMicros: wait.Microseconds(), TotalMicros: wait.Microseconds(),
 			})
+			p.done <- outcome{err: err}
 			continue
 		}
 		live = append(live, p)
@@ -569,7 +569,6 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 		c.met.BatchErrors.Add(1)
 		end := c.clk.Now()
 		for _, p := range live {
-			p.done <- outcome{err: runErr}
 			c.cfg.Recorder.Record(RequestRecord{
 				TraceID: p.traceID, Graph: c.cfg.Graph, Kind: string(p.q.Kind),
 				Source: p.q.Source, Status: "error", Start: p.enqueued,
@@ -577,6 +576,7 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 				TotalMicros: end.Sub(p.enqueued).Microseconds(),
 				BatchWidth:  len(live),
 			})
+			p.done <- outcome{err: runErr}
 		}
 		return
 	}
@@ -627,8 +627,8 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 		case KindKHop:
 			ans.Count = total.inHops
 		}
-		p.done <- outcome{a: ans}
-
+		// Record before delivering, so a caller that reads the metrics or
+		// the flight recorder once its answer arrives finds its request.
 		c.met.QueueWait.RecordDuration(ans.Wait)
 		c.met.Exec.RecordDuration(res.Elapsed)
 		fr := RequestRecord{
@@ -645,6 +645,7 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 				"source", fr.Source, "wait_us", fr.WaitMicros, "run_us", fr.RunMicros,
 				"total_us", fr.TotalMicros, "batch_width", fr.BatchWidth)
 		}
+		p.done <- outcome{a: ans}
 	}
 }
 
